@@ -12,8 +12,7 @@ Prefix a brace list with ncl to take the normal closure instead.
 """
 
 from .finite import FiniteGroup
-from .presentations import Presentation, parse_presentation, parse_words
-from .words import Word, commutator
+from .presentations import parse_presentation, parse_words
 
 _registry = {}  # name -> (declared_order, dsl text, named subgroup words)
 _aliases = {}

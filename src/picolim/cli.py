@@ -19,7 +19,6 @@ PICOLIM_COSET_LIMIT and PICOLIM_SYMBOL_BUDGET.
 import argparse
 import json
 import os
-import random
 import sys
 
 from .catalog import catalog_group, catalog_names, catalog_subgroup, subgroup_of
@@ -41,7 +40,6 @@ from .words import hopf_element, hopf_element_brackets, render_word
 from .wu import WuConfiguration, braid_check, membership_check, wu_report
 
 SCHEMA = 1
-DEFAULT_SEED = 7
 
 
 class CliError(Exception):
@@ -320,8 +318,6 @@ def _build_parser():
         p.add_argument("--json", action="store_true", help="versioned JSON output")
         p.add_argument("--limit", type=int, default=1_000_000,
                        help="coset enumeration limit")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for any sampled checks")
         if group:
             p.add_argument("--group", required=group_required, default=None,
                            help="catalog:NAME, inline DSL, or file path")
@@ -405,7 +401,6 @@ def main(argv=None):
     args = None
     try:
         args = parser.parse_args(argv)
-        random.seed(args.seed)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

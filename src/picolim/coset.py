@@ -17,22 +17,11 @@ deterministic for a fixed presentation, subgroup, limit and strategy.
 
 from collections import deque
 
-from .words import Word
-
 EMPTY = -1
 
 
 class _LimitHit(Exception):
     pass
-
-
-def _word_to_cols(word, gen_index):
-    cols = []
-    for name, exp in word.syllables:
-        base = 2 * gen_index[name]
-        col = base if exp > 0 else base + 1
-        cols.extend([col] * abs(exp))
-    return tuple(cols)
 
 
 def _cyclically_reduce(cols):
@@ -60,17 +49,14 @@ class CosetTable:
         self.status = status
         self.defined = defined
         self.strategy = strategy
-        self._gen_index = {g: i for i, g in enumerate(self.generators)}
 
     def n_cosets(self):
         return len(self.rows)
 
-    def follow(self, coset, word):
-        for name, exp in word.syllables:
-            base = 2 * self._gen_index[name]
-            col = base if exp > 0 else base + 1
-            for _ in range(abs(exp)):
-                coset = self.rows[coset][col]
+    def follow(self, coset, cols):
+        """The coset reached from `coset` along a column tuple."""
+        for x in cols:
+            coset = self.rows[coset][x]
         return coset
 
     def column_names(self):
@@ -278,22 +264,18 @@ class _Enumeration:
         return rows
 
 
-def _prepare(presentation, subgroup_words):
-    gen_index = {g: i for i, g in enumerate(presentation.generators)}
+def _prepare(presentation, subgroup):
     relators = []
     seen = set()
     for rel in presentation.relators:
-        cols = _cyclically_reduce(_word_to_cols(rel, gen_index))
+        cols = _cyclically_reduce(rel)
         if cols and cols not in seen:
             seen.add(cols)
             relators.append(cols)
-    subgroup = []
-    for w in subgroup_words:
-        if isinstance(w, str):
-            raise TypeError("subgroup generators must be Words")
-        cols = _word_to_cols(w, gen_index)
-        if cols:
-            subgroup.append(cols)
+    subgroup = [tuple(w) for w in subgroup if w]
+    nc = 2 * len(presentation.generators)
+    if any(not 0 <= x < nc for w in subgroup for x in w):
+        raise ValueError(f"subgroup column outside 0..{nc - 1}")
     return relators, subgroup
 
 
@@ -322,6 +304,7 @@ def todd_coxeter(
 ):
     """Enumerate cosets of <subgroup> in the presented group.
 
+    Subgroup generators are column tuples, as made by presentation.encode.
     Returns a CosetTable; an empty subgroup enumerates the elements of the
     group itself.  On success the table is complete and closed under all
     relators; if more than `limit` cosets get defined the returned table
@@ -379,8 +362,9 @@ def schreier_rewrite_matrix(table, relators):
     each row is the exponent-sum vector of one relator rewritten at one
     coset; the cokernel is the subgroup's abelianization.
 
-    Every relator must act trivially on the cosets (true for any table of
-    the same presentation, or any action factoring through the group).
+    Relators are column tuples.  Every relator must act trivially on the
+    cosets (true for any table of the same presentation, or any action
+    factoring through the group).
     """
     reps = schreier_representatives(table)
     path_to = {path: c for c, path in reps.items()}
@@ -398,24 +382,18 @@ def schreier_rewrite_matrix(table, relators):
         for i in range(ngens):
             if (a, 2 * i) not in tree:
                 col_index[(a, i)] = len(col_index)
-    gen_pos = {g: i for i, g in enumerate(table.generators)}
     rows = []
     for rel in relators:
-        letters = rel.letters()
         for start in range(table.n_cosets()):
             vec = [0] * len(col_index)
             c = start
-            for name, sign in letters:
-                i = gen_pos[name]
-                if sign > 0:
-                    key = (c, i)
-                    c = table.rows[c][2 * i]
-                else:
-                    c = table.rows[c][2 * i + 1]
-                    key = (c, i)
-                k = col_index.get(key)
+            for x in rel:
+                d = table.rows[c][x]
+                # an inverse letter runs the generator's edge from d back to c
+                k = col_index.get((d if x & 1 else c, x >> 1))
                 if k is not None:
-                    vec[k] += sign
+                    vec[k] += -1 if x & 1 else 1
+                c = d
             assert c == start, "relator does not stabilize the cosets"
             if any(vec):
                 rows.append(vec)

@@ -14,7 +14,7 @@ the Smith normal form of the multiplication-table relation matrix of A/B.
 import random
 
 from .abelian import AbelianInvariants
-from .coset import schreier_representatives, todd_coxeter
+from .coset import todd_coxeter
 from .errors import BudgetError
 
 ORDER_CAP = 20_000
@@ -403,8 +403,3 @@ def abelian_invariants_of_quotient(a, b):
     inv = AbelianInvariants.from_relation_matrix(rows, m)
     assert inv.order() == k, "quotient order mismatch after Smith reduction"
     return inv
-
-
-def realize(presentation, limit=1_000_000, name=None):
-    """Enumerate the presented group and wrap it as a FiniteGroup."""
-    return FiniteGroup.from_presentation(presentation, limit=limit, name=name)

@@ -6,8 +6,9 @@ Grammar (whitespace insignificant, newlines allowed anywhere):
     word         := term ('*' term)* | '[' word ',' word ']'
     term         := name ('^' int)?
 
-A bracket [w1, w2] parses to the commutator w1 w2 w1^-1 w2^-1.  Rendering
-always emits the flat product form; parse(render(p)) == p.
+A bracket [w1, w2] parses to the commutator w1 w2 w1^-1 w2^-1.  Relators
+are stored as column tuples (see Presentation).  Rendering always emits the
+flat product form; parse(render(p)) == p.
 """
 
 from .errors import ParseError
@@ -15,31 +16,52 @@ from .words import Word, commutator, render_word, valid_generator_name
 
 
 class Presentation:
-    """Generator names plus relator words over them."""
+    """Generator names plus relators as freely reduced column tuples.
+
+    Column 2*i is generator i and 2*i+1 its inverse, so x ^ 1 inverts a
+    letter; the coset table uses the same columns.  This class is the only
+    place that maps names to columns (`encode`) and columns to names
+    (`word`).
+    """
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
         if not generators:
             raise ValueError("a presentation needs at least one generator")
-        seen = set()
+        index = {}
         for name in generators:
             if not valid_generator_name(name):
                 raise ValueError(f"bad generator name {name!r}")
-            if name in seen:
+            if name in index:
                 raise ValueError(f"duplicate generator {name!r}")
-            seen.add(name)
-        relators = tuple(relators)
-        for rel in relators:
-            for name in rel.generators():
-                if name not in seen:
-                    raise ValueError(f"relator uses unknown generator {name!r}")
+            index[name] = len(index)
+        relators = tuple(map(tuple, relators))
+        cols = set().union(*relators)
+        if cols and not (min(cols) >= 0 and max(cols) < 2 * len(generators)):
+            raise ValueError(f"relator column outside 0..{2 * len(generators) - 1}")
         self.generators = generators
         self.relators = relators
+        self._index = index
+
+    def encode(self, word):
+        """Column tuple of a Word over these generators; it is freely
+        reduced because the Word is."""
+        cols = []
+        for name, exp in word.syllables:
+            if name not in self._index:
+                raise ValueError(f"unknown generator {name!r}")
+            cols.extend([2 * self._index[name] + (exp < 0)] * abs(exp))
+        return tuple(cols)
+
+    def word(self, cols):
+        """The Word spelled by a column tuple."""
+        return Word(tuple((self.generators[x >> 1], -1 if x & 1 else 1) for x in cols))
 
     def render(self):
         gens = ",".join(self.generators)
         rels = ",".join(
-            render_word(r, fallback_generator=self.generators[0]) for r in self.relators
+            render_word(self.word(r), fallback_generator=self.generators[0])
+            for r in self.relators
         )
         return f"gens: {gens} | rels: {rels}"
 
@@ -133,8 +155,10 @@ def _parse_keyword(lex, keyword):
     lex.expect(":", "':'")
 
 
-def _parse_term(lex):
+def _parse_term(lex, generators):
     tok = lex.expect("name", "generator name")
+    if generators is not None and tok[1] not in generators:
+        raise ParseError(f"unknown generator {tok[1]!r}", tok[2][0], tok[2][1])
     exp = 1
     if lex.peek()[0] == "^":
         lex.next()
@@ -145,29 +169,28 @@ def _parse_term(lex):
     return Word(((tok[1], exp),))
 
 
-def _parse_word(lex):
+def _parse_word(lex, generators):
     if lex.peek()[0] == "[":
         lex.next()
-        left = _parse_word(lex)
+        left = _parse_word(lex, generators)
         lex.expect(",", "','")
-        right = _parse_word(lex)
+        right = _parse_word(lex, generators)
         lex.expect("]", "']'")
         return commutator(left, right)
-    w = _parse_term(lex)
+    w = _parse_term(lex, generators)
     while lex.peek()[0] == "*":
         lex.next()
-        w = w * _parse_term(lex)
+        w = w * _parse_term(lex, generators)
     return w
 
 
 def parse_word(text, generators=None):
     """Parse a single word; optionally restrict to a known alphabet."""
     lex = _Lexer(text)
-    w = _parse_word(lex)
+    w = _parse_word(lex, generators)
     tok = lex.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
-    _check_alphabet([w], generators, lex)
     return w
 
 
@@ -176,25 +199,14 @@ def parse_words(text, generators=None):
     lex = _Lexer(text)
     out = []
     if lex.peek()[0] != "end":
-        out.append(_parse_word(lex))
+        out.append(_parse_word(lex, generators))
         while lex.peek()[0] == ",":
             lex.next()
-            out.append(_parse_word(lex))
+            out.append(_parse_word(lex, generators))
     tok = lex.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
-    _check_alphabet(out, generators, lex)
     return out
-
-
-def _check_alphabet(ws, generators, lex):
-    if generators is None:
-        return
-    known = set(generators)
-    for w in ws:
-        for name in w.generators():
-            if name not in known:
-                raise ParseError(f"unknown generator {name!r}", lex.line, lex.col)
 
 
 def parse_presentation(text):
@@ -208,20 +220,15 @@ def parse_presentation(text):
     _parse_keyword(lex, "rels")
     rels = []
     if lex.peek()[0] not in ("end",):
-        rels.append(_parse_word(lex))
+        rels.append(_parse_word(lex, gens))
         while lex.peek()[0] == ",":
             lex.next()
-            rels.append(_parse_word(lex))
+            rels.append(_parse_word(lex, gens))
     tok = lex.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
-    known = set(gens)
-    for w in rels:
-        for name in w.generators():
-            if name not in known:
-                # find a position to blame: re-lex is overkill, report at end
-                raise ParseError(f"relator uses unknown generator {name!r}", 1, 1)
     try:
-        return Presentation(gens, rels)
+        p = Presentation(gens)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
+    return Presentation(gens, [p.encode(w) for w in rels])

@@ -9,14 +9,16 @@ relation, and conjugation of one symbol by another through the boundary).
 The boundary sends a (x) b to the commutator [a, b] and makes T -> G a
 crossed module under the diagonal conjugation action on symbols.
 
-Relators are instantiated exhaustively over the finite element ranges and
-deduplicated by free reduction; identity-element symbols are kept and
-collapse through the biadditive family.  kernel_of_boundary enumerates T
-by coset enumeration, rewrites the kernel through a Schreier transversal
-of the boundary image, and cross-checks against a direct realization of T
+Relators are instantiated exhaustively over the finite element ranges as
+column tuples (symbol i is column 2*i, its inverse 2*i+1) and deduplicated
+after free reduction; identity-element symbols are kept and collapse
+through the biadditive family.  kernel_of_boundary enumerates T by coset
+enumeration, rewrites the kernel through a Schreier transversal of the
+boundary image, and cross-checks against a direct realization of T
 whenever the order cap admits one.
 """
 
+from functools import reduce
 from typing import NamedTuple
 
 from .abelian import AbelianInvariants
@@ -24,7 +26,6 @@ from .coset import coset_table_from_action, schreier_rewrite_matrix, todd_coxete
 from .errors import BudgetError
 from .finite import FiniteGroup, abelian_invariants_of_quotient
 from .presentations import Presentation
-from .words import Word
 
 SYMBOL_BUDGET = 100_000
 
@@ -39,23 +40,24 @@ class TensorSymbol(NamedTuple):
 
     @property
     def name(self):
+        """Generator name in the rendered presentation."""
         ab = "".join(str(i) for i in self.A)
         bb = "".join(str(i) for i in self.B)
         return f"t_{ab}_{bb}_{self.a}_{self.b}"
 
 
 class TensorPresentation:
-    def __init__(self, ambient, subgroups, partitions, blocks, symbols,
+    def __init__(self, ambient, subgroups, partitions, blocks, column,
                  relators, families):
+        """column maps each symbol to its generator column, in symbol order."""
         self.ambient = ambient
         self.subgroups = tuple(subgroups)
         self.partitions = partitions
         self.blocks = blocks
-        self.symbols = symbols
-        self.symbol_set = set(symbols)
-        self.base = Presentation([s.name for s in symbols], relators)
+        self.column = column
+        self.symbols = list(column)
+        self.base = Presentation([s.name for s in self.symbols], relators)
         self.families = families
-        self._name_map = None
 
     @property
     def n(self):
@@ -63,14 +65,9 @@ class TensorPresentation:
 
     def symbol(self, A, B, a, b):
         s = TensorSymbol(tuple(A), tuple(B), a, b)
-        if s not in self.symbol_set:
-            raise KeyError(f"no symbol {s.name}")
+        if s not in self.column:
+            raise KeyError(f"no symbol {s}")
         return s
-
-    def by_name(self, name):
-        if self._name_map is None:
-            self._name_map = {s.name: s for s in self.symbols}
-        return self._name_map[name]
 
     def boundary_of(self, sym):
         return self.ambient.comm(sym.a, sym.b)
@@ -80,16 +77,24 @@ class TensorPresentation:
         G = self.ambient
         return self.symbol(sym.A, sym.B, G.conj(g, sym.a), G.conj(g, sym.b))
 
-    def boundary_word_image(self, word):
-        """Image of a word in the symbols under the boundary."""
-        G = self.ambient
-        out = 0
-        for name, exp in word.syllables:
-            d = self.boundary_of(self.by_name(name))
-            step = d if exp > 0 else G.inv(d)
-            for _ in range(abs(exp)):
-                out = G.mul(out, step)
-        return out
+    def boundary_steps(self):
+        """Boundary image of each generator column, indexed by column."""
+        steps = []
+        for s in self.symbols:
+            d = self.boundary_of(s)
+            steps += (d, self.ambient.inv(d))
+        return steps
+
+
+def _free_reduce(cols):
+    """Free reduction: cancel each adjacent pair x, x ^ 1."""
+    out = []
+    for x in cols:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def _block_subgroup(subgroups, A):
@@ -157,26 +162,23 @@ def build_T(t, symbol_budget=SYMBOL_BUDGET):
         for a in blocks[A].members
         for b in blocks[B].members
     ]
-    symbol_set = set(symbols)
+    # a TensorSymbol is a tuple, so a plain (A, B, a, b) looks up its column
+    column = {s: 2 * i for i, s in enumerate(symbols)}
 
     relators = []
     seen = set()
     families = {"inverse": 0, "biadditive": 0, "threefold": 0, "conjugation": 0}
 
-    def emit(word, family):
-        if word.is_identity() or word.syllables in seen:
-            return
-        seen.add(word.syllables)
-        relators.append(word)
-        families[family] += 1
-
-    def w(sym):
-        return Word.gen(sym.name)
+    def emit(cols, family):
+        cols = _free_reduce(cols)
+        if cols and cols not in seen:
+            seen.add(cols)
+            relators.append(cols)
+            families[family] += 1
 
     # a (x) b equals the inverse of b (x) a at the flipped partition
-    for s in symbols:
-        mirror = TensorSymbol(s.B, s.A, s.b, s.a)
-        emit(w(s) * w(mirror), "inverse")
+    for (A, B, a, b), x in column.items():
+        emit((x, column[(B, A, b, a)]), "inverse")
 
     # aa' (x) b = (^a a' (x) ^a b)(a (x) b)
     for A, B in partitions:
@@ -184,10 +186,10 @@ def build_T(t, symbol_budget=SYMBOL_BUDGET):
         for a in na:
             for a2 in na:
                 for b in nb:
-                    left = TensorSymbol(A, B, G.mul(a, a2), b)
-                    r1 = TensorSymbol(A, B, G.conj(a, a2), G.conj(a, b))
-                    r2 = TensorSymbol(A, B, a, b)
-                    emit(w(left) * w(r2).inverse() * w(r1).inverse(), "biadditive")
+                    left = column[(A, B, G.mul(a, a2), b)]
+                    r1 = column[(A, B, G.conj(a, a2), G.conj(a, b))]
+                    r2 = column[(A, B, a, b)]
+                    emit((left, r2 ^ 1, r1 ^ 1), "biadditive")
 
     # three-block cyclic relation over U | V | W = {1..n}
     if n >= 3:
@@ -201,26 +203,19 @@ def build_T(t, symbol_budget=SYMBOL_BUDGET):
             for u in blocks[U].members:
                 for v in blocks[V].members:
                     for x in blocks[W].members:
-                        s1 = TensorSymbol(
-                            UV, W, G.conj(u, G.comm(G.inv(u), v)), G.conj(u, x)
-                        )
-                        s2 = TensorSymbol(
-                            WU, V, G.conj(x, G.comm(G.inv(x), u)), G.conj(x, v)
-                        )
-                        s3 = TensorSymbol(
-                            VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u)
-                        )
-                        assert {s1, s2, s3} <= symbol_set
-                        emit(w(s1) * w(s2) * w(s3), "threefold")
+                        s1 = column[(UV, W, G.conj(u, G.comm(G.inv(u), v)), G.conj(u, x))]
+                        s2 = column[(WU, V, G.conj(x, G.comm(G.inv(x), u)), G.conj(x, v))]
+                        s3 = column[(VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u))]
+                        emit((s1, s2, s3), "threefold")
 
     # conjugation of one symbol by another goes through the boundary
-    for s1 in symbols:
-        g = G.comm(s1.a, s1.b)
-        for s2 in symbols:
-            s3 = TensorSymbol(s2.A, s2.B, G.conj(g, s2.a), G.conj(g, s2.b))
-            emit(w(s1) * w(s2) * w(s1).inverse() * w(s3).inverse(), "conjugation")
+    for (_, _, a1, b1), s1 in column.items():
+        g = G.comm(a1, b1)
+        for (A, B, a, b), s2 in column.items():
+            s3 = column[(A, B, G.conj(g, a), G.conj(g, b))]
+            emit((s1, s2, s1 ^ 1, s3 ^ 1), "conjugation")
 
-    return TensorPresentation(G, subs, partitions, blocks, symbols, relators, families)
+    return TensorPresentation(G, subs, partitions, blocks, column, relators, families)
 
 
 def build_E(G, M, N, symbol_budget=SYMBOL_BUDGET):
@@ -233,15 +228,15 @@ def build_E(G, M, N, symbol_budget=SYMBOL_BUDGET):
     tp = build_T(t, symbol_budget=symbol_budget)
     inter = M.intersect(N)
     extra = []
-    seen = {r.syllables for r in tp.base.relators}
+    seen = set(tp.base.relators)
     for x in inter.members:
         if x == 0:
             continue
         for A, B in tp.partitions:
             if tp.blocks[A].contains(x) and tp.blocks[B].contains(x):
-                rel = Word.gen(TensorSymbol(A, B, x, x).name)
-                if rel.syllables not in seen:
-                    seen.add(rel.syllables)
+                rel = (tp.column[(A, B, x, x)],)
+                if rel not in seen:
+                    seen.add(rel)
                     extra.append(rel)
     tp.base = Presentation(tp.base.generators, tp.base.relators + tuple(extra))
     tp.families = dict(tp.families, square=len(extra))
@@ -255,7 +250,11 @@ def boundary_image(tp):
 
 def relator_soundness(tp):
     """Relators that fail to map to the ambient identity (must be none)."""
-    return [rel for rel in tp.base.relators if tp.boundary_word_image(rel) != 0]
+    steps = tp.boundary_steps()
+    return [
+        rel for rel in tp.base.relators
+        if reduce(tp.ambient.mul, [steps[x] for x in rel], 0) != 0
+    ]
 
 
 def crossed_module_check(tp):
@@ -276,27 +275,26 @@ def one_orientation_presentation(tp):
     check target, not the primary object).
     """
     keep = [s for s in tp.symbols if 1 in s.A]
-    keep_names = {s.name for s in keep}
-
-    def translate(word):
-        out = Word()
-        for name, exp in word.syllables:
-            if name in keep_names:
-                out = out * Word(((name, exp),))
-            else:
-                s = tp.by_name(name)
-                mirror = TensorSymbol(s.B, s.A, s.b, s.a)
-                out = out * Word.gen(mirror.name, -exp)
-        return out
+    new = {s: 2 * j for j, s in enumerate(keep)}
+    # old column -> new column; a flipped symbol is the inverse of its mirror
+    remap = []
+    for A, B, a, b in tp.symbols:
+        if 1 in A:
+            x = new[(A, B, a, b)]
+            remap += (x, x + 1)
+        else:
+            x = new[(B, A, b, a)]
+            remap += (x + 1, x)
 
     relators = []
     seen = set()
     for rel in tp.base.relators:
-        tw = translate(rel)
-        if not tw.is_identity() and tw.syllables not in seen:
-            seen.add(tw.syllables)
-            relators.append(tw)
-    return Presentation([s.name for s in keep], relators)
+        cols = _free_reduce([remap[x] for x in rel])
+        if cols and cols not in seen:
+            seen.add(cols)
+            relators.append(cols)
+    names = [name for name, s in zip(tp.base.generators, tp.symbols) if 1 in s.A]
+    return Presentation(names, relators)
 
 
 def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
@@ -324,15 +322,9 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     G = tp.ambient
     elt_pos = {e: i for i, e in enumerate(image.members)}
     assert elt_pos[0] == 0
-    rows = []
-    for e in image.members:
-        row = []
-        for s in tp.symbols:
-            d = tp.boundary_of(s)
-            row.append(elt_pos[G.mul(e, d)])
-            row.append(elt_pos[G.mul(e, G.inv(d))])
-        rows.append(row)
-    pullback = coset_table_from_action([s.name for s in tp.symbols], rows)
+    steps = tp.boundary_steps()
+    rows = [[elt_pos[G.mul(e, d)] for d in steps] for e in image.members]
+    pullback = coset_table_from_action(tp.base.generators, rows)
     mat, ncols = schreier_rewrite_matrix(pullback, tp.base.relators)
     invariants = AbelianInvariants.from_relation_matrix(mat, ncols)
 
@@ -374,11 +366,7 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
 def _boundary_values(tp, table):
     """Boundary image of every element of T, indexed by coset id."""
     G = tp.ambient
-    steps = []
-    for s in tp.symbols:
-        d = tp.boundary_of(s)
-        steps.append(d)
-        steps.append(G.inv(d))
+    steps = tp.boundary_steps()
     dval = [None] * table.n_cosets()
     dval[0] = 0
     queue = [0]

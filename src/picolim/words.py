@@ -95,14 +95,6 @@ class Word:
     def generators(self):
         return sorted({name for name, _ in self.syllables})
 
-    def letters(self):
-        """Expand to single letters as (name, +1/-1) pairs."""
-        out = []
-        for name, exp in self.syllables:
-            sign = 1 if exp > 0 else -1
-            out.extend((name, sign) for _ in range(abs(exp)))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.syllables == other.syllables
 

@@ -48,7 +48,7 @@ def test_presentation_matches_group():
         g = catalog_group(name)
         assert set(p.generators) == set(g.gen_images)
         for rel in p.relators:
-            assert g.word_image(rel) == 0
+            assert g.word_image(p.word(rel)) == 0
 
 
 @pytest.mark.parametrize("order,count", sorted(ORDER_CLASSES.items()))

@@ -24,8 +24,8 @@ def test_cyclic_order(strategy):
 def test_subgroup_index(strategy):
     p = parse_presentation(S3)
     assert todd_coxeter(p, strategy=strategy).n_cosets() == 6
-    assert todd_coxeter(p, [parse_word("s")], strategy=strategy).n_cosets() == 3
-    assert todd_coxeter(p, [parse_word("r")], strategy=strategy).n_cosets() == 2
+    assert todd_coxeter(p, [p.encode(parse_word("s"))], strategy=strategy).n_cosets() == 3
+    assert todd_coxeter(p, [p.encode(parse_word("r"))], strategy=strategy).n_cosets() == 2
 
 
 @pytest.mark.parametrize(
@@ -74,7 +74,7 @@ def test_exceeded_limit(strategy):
 def test_follow_cycles_through_group():
     p = parse_presentation("gens: a | rels: a^6")
     t = todd_coxeter(p)
-    a = parse_word("a")
+    a = p.encode(parse_word("a"))
     seen = []
     c = 0
     for _ in range(6):
@@ -82,7 +82,8 @@ def test_follow_cycles_through_group():
         c = t.follow(c, a)
     assert c == 0
     assert sorted(seen) == list(range(6))
-    assert t.follow(0, parse_word("a^-1")) == t.follow(0, parse_word("a^5"))
+    inverse, fifth = p.encode(parse_word("a^-1")), p.encode(parse_word("a^5"))
+    assert t.follow(0, inverse) == t.follow(0, fifth)
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -109,6 +110,12 @@ def test_to_csv_shape():
     assert lines[0] == "coset,a,a^-1"
     assert len(lines) == 4
     assert t.to_csv().endswith("\n")
+
+
+def test_subgroup_column_out_of_range():
+    p = parse_presentation("gens: a | rels: a^2")
+    with pytest.raises(ValueError):
+        todd_coxeter(p, [(2,)])
 
 
 def test_unknown_strategy_rejected():
@@ -148,7 +155,7 @@ def test_rewrite_free_subgroup_rank():
 )
 def test_rewrite_known_subgroups(sub, expected):
     p = parse_presentation(S3)
-    t = todd_coxeter(p, [parse_word(sub)])
+    t = todd_coxeter(p, [p.encode(parse_word(sub))])
     rows, ncols = schreier_rewrite_matrix(t, p.relators)
     assert AbelianInvariants.from_relation_matrix(rows, ncols) == expected
 

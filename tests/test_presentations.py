@@ -1,5 +1,7 @@
 import pytest
 
+from picolim.catalog import catalog_group, catalog_names, catalog_presentation
+from picolim.colimit import NormalTuple
 from picolim.errors import ParseError
 from picolim.presentations import (
     Presentation,
@@ -7,6 +9,7 @@ from picolim.presentations import (
     parse_word,
     parse_words,
 )
+from picolim.tensor import build_T
 from picolim.words import Word, commutator, render_word
 
 
@@ -45,8 +48,9 @@ def test_parse_error_position():
 
 
 def test_unknown_generator_rejected_with_alphabet():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_word("a*q", generators=["a", "b"])
+    assert (info.value.line, info.value.column) == (1, 3)
     assert parse_word("a*b", generators=["a", "b"]).syllables == (("a", 1), ("b", 1))
 
 
@@ -60,17 +64,19 @@ def test_parse_presentation():
     p = parse_presentation("gens: a,b | rels: a^2, b^3, [a,b]")
     assert p.generators == ("a", "b")
     assert len(p.relators) == 3
-    assert p.relators[0] == Word.gen("a", 2)
+    assert p.relators[0] == (0, 0)
+    assert p.relators[2] == p.encode(commutator(Word.gen("a"), Word.gen("b")))
+    assert p.word(p.relators[2]) == commutator(Word.gen("a"), Word.gen("b"))
 
 
 def test_parse_presentation_no_relators():
     p = parse_presentation("gens: a | rels: a^0")
-    assert all(r.is_identity() for r in p.relators)
+    assert p.relators == ((),)
 
 
 def test_presentation_rejects_foreign_relator():
     with pytest.raises(ValueError):
-        Presentation(("a",), (Word.gen("b"),))
+        Presentation(("a",), ((2,),))
 
 
 def test_presentation_duplicate_generator():
@@ -79,9 +85,12 @@ def test_presentation_duplicate_generator():
 
 
 def test_render_round_trip():
-    p = parse_presentation("gens: r,s | rels: r^5, s^2, s*r*s^-1*r")
-    again = parse_presentation(p.render())
-    assert again == p
+    presentations = [parse_presentation("gens: r,s | rels: r^5, s^2, s*r*s^-1*r")]
+    presentations += [catalog_presentation(name) for name in catalog_names()]
+    c2 = catalog_group("C2")
+    presentations.append(build_T(NormalTuple(c2, (c2.full_subgroup(),) * 3)).base)
+    for p in presentations:
+        assert parse_presentation(p.render()) == p
 
 
 def test_word_render_round_trip():
@@ -95,3 +104,9 @@ def test_multiline_positions():
     with pytest.raises(ParseError) as info:
         parse_presentation("gens: a,b |\nrels: a^2, %")
     assert info.value.line == 2
+
+
+def test_unknown_relator_generator_position():
+    with pytest.raises(ParseError) as info:
+        parse_presentation("gens: a,b |\nrels: a^2, q")
+    assert (info.value.line, info.value.column) == (2, 12)

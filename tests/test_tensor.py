@@ -84,13 +84,13 @@ def test_act_stays_inside_symbols():
     g = catalog_group("S3")
     for s in tp.symbols[:10]:
         moved = tp.act(g.gen_images["r"], s)
-        assert moved in tp.symbol_set
+        assert moved in tp.column
 
 
 def test_symbol_lookup():
     tp = build_T(_full_tuple("C2", 2))
     s = tp.symbol((1,), (2,), 1, 1)
-    assert tp.by_name(s.name) == s
+    assert tp.base.generators[tp.column[s] // 2] == s.name
     with pytest.raises(KeyError):
         tp.symbol((1,), (2,), 1, 7)
 
@@ -139,6 +139,19 @@ def test_one_orientation_same_group():
     small = one_orientation_presentation(tp)
     assert len(small.generators) == len(tp.symbols) // 2
     assert todd_coxeter(small).n_cosets() == kernel_of_boundary(tp)["t_order"]
+
+
+def test_relators_reduced_and_unique():
+    g = catalog_group("S3")
+    normals = g.normal_subgroups()
+    for m in normals:
+        for n in normals:
+            for tp in (build_T(NormalTuple(g, (m, n))), build_E(g, m, n)):
+                rels = tp.base.relators
+                assert len(set(rels)) == len(rels)
+                for rel in rels:
+                    assert rel
+                    assert all(x ^ 1 != y for x, y in zip(rel, rel[1:])), rel
 
 
 def test_build_E_square_relators():

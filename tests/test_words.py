@@ -79,7 +79,6 @@ def test_length_letters_generators():
     u = w([("a", -2), ("b", 3)])
     assert u.length() == 5
     assert u.generators() == ["a", "b"]
-    assert u.letters() == [("a", -1), ("a", -1), ("b", 1), ("b", 1), ("b", 1)]
 
 
 def test_render_word():
