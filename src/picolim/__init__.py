@@ -9,128 +9,4 @@ tensor presentation with its crossed-module boundary, and the truncated
 sphere computations.
 """
 
-from .abelian import AbelianInvariants, order_in_quotient, smith_normal_form
-from .catalog import (
-    catalog_group,
-    catalog_names,
-    catalog_presentation,
-    catalog_subgroup,
-    groups_of_order_at_most,
-    subgroup_of,
-)
-from .colimit import (
-    NormalTuple,
-    h1_GMN,
-    hopf_h3_check,
-    is_connected_tuple,
-    pi_1_colimit,
-    pi_2_colimit_n3,
-    pi_n_colimit,
-    search_disconnected_triple,
-    symmetric_commutator,
-)
-from .coset import CosetTable, todd_coxeter
-from .errors import BudgetError, ConnectivityError, ParseError
-from .finite import FiniteGroup, FinSubgroup, abelian_invariants_of_quotient
-from .hall import HallBasis, lyndon_words, witt_number
-from .nilpotent import (
-    PcGroup,
-    PcSubgroup,
-    central_quotient_invariants,
-    free_nilpotent,
-    intersect_pc,
-    normal_closure_pc,
-)
-from .presentations import Presentation, parse_presentation, parse_word, parse_words
-from .tensor import (
-    TensorPresentation,
-    TensorSymbol,
-    build_E,
-    build_T,
-    boundary_image,
-    kernel_of_boundary,
-)
-from .words import (
-    Word,
-    commutator,
-    conjugate,
-    hopf_element,
-    hopf_element_brackets,
-    left_normed_commutator,
-    render_word,
-)
-from .wu import (
-    WuConfiguration,
-    braid_check,
-    check_equality_13,
-    membership_check,
-    wu_denominator,
-    wu_group,
-    wu_numerator,
-    wu_report,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianInvariants",
-    "BudgetError",
-    "ConnectivityError",
-    "CosetTable",
-    "FinSubgroup",
-    "FiniteGroup",
-    "HallBasis",
-    "NormalTuple",
-    "ParseError",
-    "PcGroup",
-    "PcSubgroup",
-    "Presentation",
-    "TensorPresentation",
-    "TensorSymbol",
-    "Word",
-    "WuConfiguration",
-    "abelian_invariants_of_quotient",
-    "boundary_image",
-    "braid_check",
-    "build_E",
-    "build_T",
-    "catalog_group",
-    "catalog_names",
-    "catalog_presentation",
-    "catalog_subgroup",
-    "central_quotient_invariants",
-    "check_equality_13",
-    "commutator",
-    "conjugate",
-    "free_nilpotent",
-    "groups_of_order_at_most",
-    "h1_GMN",
-    "hopf_element",
-    "hopf_element_brackets",
-    "hopf_h3_check",
-    "intersect_pc",
-    "is_connected_tuple",
-    "kernel_of_boundary",
-    "left_normed_commutator",
-    "lyndon_words",
-    "membership_check",
-    "normal_closure_pc",
-    "order_in_quotient",
-    "parse_presentation",
-    "parse_word",
-    "parse_words",
-    "pi_1_colimit",
-    "pi_2_colimit_n3",
-    "pi_n_colimit",
-    "render_word",
-    "search_disconnected_triple",
-    "smith_normal_form",
-    "subgroup_of",
-    "symmetric_commutator",
-    "todd_coxeter",
-    "witt_number",
-    "wu_denominator",
-    "wu_group",
-    "wu_numerator",
-    "wu_report",
-]

@@ -1,10 +1,18 @@
 """Homotopy invariants of a union of aspherical spaces glued along
 normal subgroups N_1,...,N_n of a common fundamental group.
 
-The formulas work over either engine: finite permutation groups or free
-nilpotent pc groups.  Both subgroup types expose the same interface
-(intersect, product, commutator, is_normal, containment), so everything
-here is engine-agnostic.
+The formulas work over either engine: finite permutation groups
+(FiniteGroup, FinSubgroup) or free nilpotent pc groups (PcGroup,
+PcSubgroup).  They call only the interface the two share:
+
+    group:     full_subgroup(), trivial_subgroup()
+    subgroup:  intersect(K), product(K), commutator(K), contains_subgroup(K),
+               is_normal(), quotient_invariants(K), descriptor()
+
+where quotient_invariants(K) gives the abelian invariants of the quotient
+by K and descriptor() the JSON summary of the subgroup (its order, or its
+igs pivots).  Only pi_1_colimit, which realises the quotient group, needs
+the finite engine.
 
 The n-th homotopy group of the union is (cap N_i) / (symmetric commutator)
 provided every (n-1)-subtuple satisfies the connectivity condition: for
@@ -21,18 +29,9 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import ConnectivityError
+from .finite import FiniteGroup
+from .nilpotent import free_nilpotent, normal_closure_pc
 from .words import render_word
-from .finite import FiniteGroup, FinSubgroup, abelian_invariants_of_quotient
-from .nilpotent import (
-    PcGroup,
-    PcSubgroup,
-    central_quotient_invariants,
-    commutator_subgroup_pc,
-    free_nilpotent,
-    full_subgroup_pc,
-    intersect_pc,
-    normal_closure_pc,
-)
 
 
 class NormalTuple:
@@ -61,21 +60,9 @@ class NormalTuple:
         return t
 
 
-def full_subgroup(ambient):
-    if isinstance(ambient, FiniteGroup):
-        return ambient.full_subgroup()
-    if isinstance(ambient, PcGroup):
-        return full_subgroup_pc(ambient)
-    raise TypeError(f"unsupported ambient group {type(ambient).__name__}")
-
-
 def quotient_invariants(A, B):
     """Abelian invariants of A/B on whichever engine the inputs live."""
-    if isinstance(A, FinSubgroup):
-        return abelian_invariants_of_quotient(A, B)
-    if isinstance(A, PcSubgroup):
-        return central_quotient_invariants(A, B)
-    raise TypeError(f"unsupported subgroup {type(A).__name__}")
+    return A.quotient_invariants(B)
 
 
 def _intersection(subs):
@@ -84,12 +71,6 @@ def _intersection(subs):
 
 def _product(subs):
     return reduce(lambda a, b: a.product(b), subs)
-
-
-def subgroup_descriptor(s):
-    if isinstance(s, FinSubgroup):
-        return {"order": s.order()}
-    return {"igs_rows": len(s.pivots), "pivots": list(s.pivots)}
 
 
 class Report:
@@ -208,7 +189,7 @@ def pi_n_colimit(t):
     transcript = check_hypothesis(t)
     numerator = _intersection(t.subgroups)
     if t.n == 1:
-        denominator = _trivial_like(t.ambient)
+        denominator = t.ambient.trivial_subgroup()
     else:
         denominator = symmetric_commutator(t)
     assert numerator.contains_subgroup(denominator), "denominator must lie in the intersection"
@@ -217,37 +198,29 @@ def pi_n_colimit(t):
         formula="pi_n_colimit",
         inputs={"n": t.n},
         hypothesis_checks=transcript,
-        numerator=subgroup_descriptor(numerator),
-        denominator=subgroup_descriptor(denominator),
+        numerator=numerator.descriptor(),
+        denominator=denominator.descriptor(),
         invariants=invariants,
     )
-
-
-def _trivial_like(ambient):
-    if isinstance(ambient, FiniteGroup):
-        return ambient.trivial_subgroup()
-    from .nilpotent import trivial_subgroup_pc
-
-    return trivial_subgroup_pc(ambient)
 
 
 def pi_1_colimit(t):
     """Quotient G / (N_1 ... N_n); stated in the source formula for n = 3,
     reported as an extension otherwise."""
+    if not isinstance(t.ambient, FiniteGroup):
+        raise TypeError("pi_1_colimit needs the finite engine")
     product = _product(t.subgroups)
     notes = [] if t.n == 3 else ["extension of the n=3 formula to general n"]
     report = Report(
         formula="pi_1_colimit",
         inputs={"n": t.n},
         numerator={"ambient": True},
-        denominator=subgroup_descriptor(product),
+        denominator=product.descriptor(),
         notes=notes,
     )
-    if isinstance(t.ambient, FiniteGroup):
-        quotient, _ = t.ambient.quotient(product)
-        report.inputs["quotient_order"] = quotient.n
-        return report, quotient
-    return report, None
+    quotient, _ = t.ambient.quotient(product)
+    report.inputs["quotient_order"] = quotient.n
+    return report, quotient
 
 
 def pi_2_colimit_n3(L, M, N):
@@ -271,8 +244,8 @@ def pi_2_colimit_n3(L, M, N):
     return Report(
         formula="pi_2_colimit_n3",
         inputs={},
-        numerator=subgroup_descriptor(numerator),
-        denominator=subgroup_descriptor(denominator),
+        numerator=numerator.descriptor(),
+        denominator=denominator.descriptor(),
         invariants=invariants,
         finding=finding,
     )
@@ -283,7 +256,7 @@ def h1_GMN(ambient, M, N):
     for nm, s in (("M", M), ("N", N)):
         if not s.is_normal():
             raise ValueError(f"{nm} is not normal")
-    full = full_subgroup(ambient)
+    full = ambient.full_subgroup()
     numerator = M.intersect(N)
     denominator = full.commutator(numerator).product(M.commutator(N))
     assert numerator.contains_subgroup(denominator)
@@ -291,8 +264,8 @@ def h1_GMN(ambient, M, N):
     return Report(
         formula="h1_GMN",
         inputs={},
-        numerator=subgroup_descriptor(numerator),
-        denominator=subgroup_descriptor(denominator),
+        numerator=numerator.descriptor(),
+        denominator=denominator.descriptor(),
         invariants=invariants,
     )
 
@@ -307,18 +280,20 @@ def hopf_h3_check(rank, r_word, s_word, cls, names=None):
     F = free_nilpotent(rank, cls, names=names)
     R = normal_closure_pc(F, [F.collect(r_word)])
     S = normal_closure_pc(F, [F.collect(s_word)])
-    full = full_subgroup_pc(F)
-    derived = commutator_subgroup_pc(full, full)
-    rs = intersect_pc(R, S)
-    numerator = intersect_pc(rs, derived)
-    denominator = commutator_subgroup_pc(R, S).product(commutator_subgroup_pc(rs, full))
+    full = F.full_subgroup()
+    derived = full.commutator(full)
+    rs = R.intersect(S)
+    numerator = rs.intersect(derived)
+    denominator = R.commutator(S).product(rs.commutator(full))
     assert numerator.contains_subgroup(denominator)
-    invariants = central_quotient_invariants(numerator, denominator)
+    invariants = quotient_invariants(numerator, denominator)
+    first = F.gen_names[0]  # an identity relator renders as first^0
     return Report(
         formula="hopf_h3_check",
-        inputs={"rank": rank, "r": render_word(r_word), "s": render_word(s_word), "class": cls},
-        numerator=subgroup_descriptor(numerator),
-        denominator=subgroup_descriptor(denominator),
+        inputs={"rank": rank, "r": render_word(r_word, first),
+                "s": render_word(s_word, first), "class": cls},
+        numerator=numerator.descriptor(),
+        denominator=denominator.descriptor(),
         invariants=invariants,
         notes=[f"truncated at class {cls}; triviality here is evidence, not proof"],
     )

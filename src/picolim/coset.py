@@ -59,18 +59,6 @@ class CosetTable:
             coset = self.rows[coset][x]
         return coset
 
-    def column_names(self):
-        out = []
-        for g in self.generators:
-            out.extend([g, f"{g}^-1"])
-        return out
-
-    def to_csv(self):
-        lines = ["coset," + ",".join(self.column_names())]
-        for i, row in enumerate(self.rows):
-            lines.append(str(i) + "," + ",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
 
 class _Enumeration:
     def __init__(self, ncols, relators, subgroup, limit):

@@ -263,10 +263,6 @@ class FinSubgroup:
     def contains(self, x):
         return x in self.member_set
 
-    def issubset(self, other):
-        self._same_parent(other)
-        return self.member_set <= other.member_set
-
     def contains_subgroup(self, other):
         self._same_parent(other)
         return other.member_set <= self.member_set
@@ -313,6 +309,12 @@ class FinSubgroup:
             members = _closure(g, members | extra)
         return FinSubgroup(g, members)
 
+    def quotient_invariants(self, sub):
+        return abelian_invariants_of_quotient(self, sub)
+
+    def descriptor(self):
+        return {"order": self.order()}
+
     def conjugate_by(self, g_elt):
         g = self.parent
         return FinSubgroup(g, {g.conj(g_elt, x) for x in self.members})
@@ -338,8 +340,7 @@ def abelian_invariants_of_quotient(a, b):
     rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
     a spanning tree of coset representatives.
     """
-    a._same_parent(b)
-    if not b.issubset(a):
+    if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
     g = a.parent
     for x in a.members:

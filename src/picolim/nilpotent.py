@@ -17,7 +17,6 @@ support starts at index d or later, the coordinate at d is additive, which
 is what makes echelon arithmetic on rows sound.
 """
 
-import csv
 import math
 
 from .abelian import AbelianInvariants, _bezout
@@ -59,12 +58,6 @@ class PcGroup:
 
     def basis_element(self, idx):
         return ((idx, 1),)
-
-    def weight_of(self, u):
-        """Weight of the leading term; class + 1 for the identity."""
-        if not u:
-            return self.cls + 1
-        return self.basis.weight(u[0][0])
 
     def mul(self, u, v):
         for j, f in v:
@@ -173,12 +166,6 @@ class PcGroup:
             self._series[idx] = got
         return got
 
-    def element_to_series(self, u):
-        out = self.alg.one()
-        for i, e in u:
-            out = self.alg.mul(out, self.alg.pow(self.series_of_basis(i), e))
-        return out
-
     def series_to_element(self, series):
         """Exact exponent extraction, basis element by basis element."""
         assert series.get((), 0) == 1, "group image must have constant term 1"
@@ -204,16 +191,6 @@ class PcGroup:
             u = self._mul_gen(u, idx, e)
         return u
 
-    def commutation_table(self, j, i):
-        """Collected [a_j, a_i]."""
-        return self.comm(self.basis_element(j), self.basis_element(i))
-
-    def exponents(self, u):
-        dense = [0] * self.basis.size
-        for i, e in u:
-            dense[i] = e
-        return dense
-
     def element_text(self, u):
         if not u:
             return "1"
@@ -222,6 +199,14 @@ class PcGroup:
             t = self.basis.bracket_text(i, self.gen_names)
             parts.append(t if e == 1 else f"{t}^{e}")
         return "*".join(parts)
+
+    # -- distinguished subgroups -------------------------------------------
+
+    def trivial_subgroup(self):
+        return PcSubgroup(self, {})
+
+    def full_subgroup(self):
+        return subgroup(self, [self.basis_element(i) for i in range(self.basis.size)])
 
 
 def free_nilpotent(rank, cls, names=None):
@@ -382,10 +367,19 @@ class PcSubgroup:
         return intersect_pc(self, other)
 
     def product(self, other):
-        return product_pc(self, other)
+        """Join generated by both igs; used on normal subgroups, where it is
+        the setwise product."""
+        _same_parent(self, other)
+        return subgroup(self.parent, self.igs + other.igs)
 
     def commutator(self, other):
         return commutator_subgroup_pc(self, other)
+
+    def quotient_invariants(self, sub):
+        return central_quotient_invariants(self, sub)
+
+    def descriptor(self):
+        return {"igs_rows": len(self.pivots), "pivots": list(self.pivots)}
 
     def __eq__(self, other):
         if not isinstance(other, PcSubgroup):
@@ -394,14 +388,6 @@ class PcSubgroup:
 
     def __hash__(self):
         return hash((id(self.parent), tuple(sorted(self.rows.items()))))
-
-    def to_csv(self, path):
-        """One row per igs row: pivot index, then the dense exponent vector."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pivot"] + [f"e{i}" for i in range(self.parent.basis.size)])
-            for d in self.pivots:
-                writer.writerow([d] + self.parent.exponents(self.rows[d]))
 
 
 def _same_parent(h, k):
@@ -425,21 +411,6 @@ def normal_closure_pc(G, gens):
         _insert(G, rows, _sift(G, rows, u))
     _close(G, rows, conjugate_by=G.gens())
     return PcSubgroup(G, _canonical(G, rows))
-
-
-def trivial_subgroup_pc(G):
-    return PcSubgroup(G, {})
-
-
-def full_subgroup_pc(G):
-    return subgroup(G, [G.basis_element(i) for i in range(G.basis.size)])
-
-
-def product_pc(H, K):
-    """Join generated by both igs; used on normal subgroups, where it is
-    the setwise product."""
-    _same_parent(H, K)
-    return subgroup(H.parent, H.igs + K.igs)
 
 
 def commutator_subgroup_pc(H, K):
@@ -648,41 +619,3 @@ def central_quotient_invariants(A, B):
                 )
     rows = [A.coords_of(r) for r in B.igs]
     return AbelianInvariants.from_relation_matrix(rows, len(igs))
-
-
-# -- projections to lower class --------------------------------------------
-
-
-def project_element(target, u):
-    """Image in the same-rank group of smaller class (drop deep syllables)."""
-    return tuple((i, e) for i, e in u if i < target.basis.size)
-
-
-def project_subgroup(target, H):
-    return subgroup(target, [project_element(target, r) for r in H.igs])
-
-
-def consistency_report(G, trials=64, seed=11):
-    """Random associativity/inverse checks plus the series-embedding oracle."""
-    import random
-
-    rng = random.Random(seed)
-
-    def rand_el():
-        u = IDENTITY
-        for _ in range(rng.randrange(1, 5)):
-            u = G._mul_gen(u, rng.randrange(G.rank), rng.randrange(-3, 4))
-        return u
-
-    failures = []
-    for t in range(trials):
-        u, v, w = rand_el(), rand_el(), rand_el()
-        if G.mul(G.mul(u, v), w) != G.mul(u, G.mul(v, w)):
-            failures.append(("associativity", u, v, w))
-        if G.mul(u, G.inv(u)) != IDENTITY:
-            failures.append(("inverse", u))
-        lhs = G.element_to_series(G.mul(u, v))
-        rhs = G.alg.mul(G.element_to_series(u), G.element_to_series(v))
-        if lhs != rhs:
-            failures.append(("series", u, v))
-    return failures

@@ -267,36 +267,6 @@ def crossed_module_check(tp):
     return True, None
 
 
-def one_orientation_presentation(tp):
-    """Rewrite onto the symbols whose first block contains index 1.
-
-    The inverse-symmetry family makes the flipped-orientation symbols
-    redundant; this gives a smaller presentation of the same group (a
-    check target, not the primary object).
-    """
-    keep = [s for s in tp.symbols if 1 in s.A]
-    new = {s: 2 * j for j, s in enumerate(keep)}
-    # old column -> new column; a flipped symbol is the inverse of its mirror
-    remap = []
-    for A, B, a, b in tp.symbols:
-        if 1 in A:
-            x = new[(A, B, a, b)]
-            remap += (x, x + 1)
-        else:
-            x = new[(B, A, b, a)]
-            remap += (x + 1, x)
-
-    relators = []
-    seen = set()
-    for rel in tp.base.relators:
-        cols = _free_reduce([remap[x] for x in rel])
-        if cols and cols not in seen:
-            seen.add(cols)
-            relators.append(cols)
-    names = [name for name, s in zip(tp.base.generators, tp.symbols) if 1 in s.A]
-    return Presentation(names, relators)
-
-
 def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     """Order and abelian invariants of the kernel of the boundary T -> G.
 

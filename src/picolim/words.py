@@ -105,11 +105,6 @@ class Word:
         return f"Word({render_word(self)!r})"
 
 
-def reduce_word(w):
-    """Re-run free reduction; a no-op on any Word, kept as an explicit op."""
-    return Word(w.syllables)
-
-
 def commutator(x, y):
     return x * y * x.inverse() * y.inverse()
 
@@ -155,10 +150,6 @@ def render_word(w, fallback_generator=None):
     for name, exp in w.syllables:
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)
-
-
-def _hopf_letters(k):
-    return [f"y{i}" for i in range(k + 1)]
 
 
 def _trailing_product(m):

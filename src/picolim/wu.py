@@ -148,9 +148,7 @@ def wu_group(cfg):
                     "centrality violation for igs row "
                     f"{G.element_text(row)}; this is a bug"
                 )
-    from .nilpotent import central_quotient_invariants
-
-    return central_quotient_invariants(num, den)
+    return num.quotient_invariants(den)
 
 
 def wu_report(cfg):

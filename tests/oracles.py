@@ -1,0 +1,138 @@
+"""Test oracles: checks and views of the engines that only the tests use.
+
+Each function takes the engine objects it inspects as arguments; none of
+them is needed to compute an answer.
+"""
+
+import csv
+import random
+
+from picolim.nilpotent import IDENTITY, subgroup
+from picolim.presentations import Presentation
+from picolim.tensor import _free_reduce
+from picolim.words import Word
+
+
+# -- pc engine ---------------------------------------------------------------
+
+
+def exponents(G, u):
+    """Dense exponent vector of a pc element."""
+    dense = [0] * G.basis.size
+    for i, e in u:
+        dense[i] = e
+    return dense
+
+
+def commutation_table(G, j, i):
+    """Collected [a_j, a_i]."""
+    return G.comm(G.basis_element(j), G.basis_element(i))
+
+
+def element_to_series(G, u):
+    """Image of a pc element in the truncated power-series algebra."""
+    out = G.alg.one()
+    for i, e in u:
+        out = G.alg.mul(out, G.alg.pow(G.series_of_basis(i), e))
+    return out
+
+
+def project_element(target, u):
+    """Image in the same-rank group of smaller class (drop deep syllables)."""
+    return tuple((i, e) for i, e in u if i < target.basis.size)
+
+
+def project_subgroup(target, H):
+    return subgroup(target, [project_element(target, r) for r in H.igs])
+
+
+def consistency_report(G, trials=64, seed=11):
+    """Random associativity/inverse checks plus the series-embedding oracle."""
+    rng = random.Random(seed)
+
+    def rand_el():
+        u = IDENTITY
+        for _ in range(rng.randrange(1, 5)):
+            u = G._mul_gen(u, rng.randrange(G.rank), rng.randrange(-3, 4))
+        return u
+
+    failures = []
+    for t in range(trials):
+        u, v, w = rand_el(), rand_el(), rand_el()
+        if G.mul(G.mul(u, v), w) != G.mul(u, G.mul(v, w)):
+            failures.append(("associativity", u, v, w))
+        if G.mul(u, G.inv(u)) != IDENTITY:
+            failures.append(("inverse", u))
+        lhs = element_to_series(G, G.mul(u, v))
+        rhs = G.alg.mul(element_to_series(G, u), element_to_series(G, v))
+        if lhs != rhs:
+            failures.append(("series", u, v))
+    return failures
+
+
+def subgroup_to_csv(H, path):
+    """One row per igs row: pivot index, then the dense exponent vector."""
+    G = H.parent
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pivot"] + [f"e{i}" for i in range(G.basis.size)])
+        for d in H.pivots:
+            writer.writerow([d] + exponents(G, H.rows[d]))
+
+
+# -- coset tables --------------------------------------------------------------
+
+
+def column_names(table):
+    out = []
+    for g in table.generators:
+        out.extend([g, f"{g}^-1"])
+    return out
+
+
+def coset_table_csv(table):
+    lines = ["coset," + ",".join(column_names(table))]
+    for i, row in enumerate(table.rows):
+        lines.append(str(i) + "," + ",".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# -- tensor presentations ------------------------------------------------------
+
+
+def one_orientation_presentation(tp):
+    """Rewrite onto the symbols whose first block contains index 1.
+
+    The inverse-symmetry family makes the flipped-orientation symbols
+    redundant; this gives a smaller presentation of the same group (a
+    check target, not the primary object).
+    """
+    keep = [s for s in tp.symbols if 1 in s.A]
+    new = {s: 2 * j for j, s in enumerate(keep)}
+    # old column -> new column; a flipped symbol is the inverse of its mirror
+    remap = []
+    for A, B, a, b in tp.symbols:
+        if 1 in A:
+            x = new[(A, B, a, b)]
+            remap += (x, x + 1)
+        else:
+            x = new[(B, A, b, a)]
+            remap += (x + 1, x)
+
+    relators = []
+    seen = set()
+    for rel in tp.base.relators:
+        cols = _free_reduce([remap[x] for x in rel])
+        if cols and cols not in seen:
+            seen.add(cols)
+            relators.append(cols)
+    names = [name for name, s in zip(tp.base.generators, tp.symbols) if 1 in s.A]
+    return Presentation(names, relators)
+
+
+# -- words ---------------------------------------------------------------------
+
+
+def reduce_word(w):
+    """Re-run free reduction; a no-op on any Word, kept as an explicit op."""
+    return Word(w.syllables)

@@ -136,6 +136,16 @@ def test_h3check_verb(capsys):
     assert payload["invariants"] == {"free_rank": 0, "torsion": []}
 
 
+def test_h3check_identity_relator(capsys):
+    # the identity relator renders with the first generator name and parses back
+    code, payload, _ = _run_json(
+        capsys, "h3check", "--r", "x^0", "--s", "y", "--class", "3",
+    )
+    assert code == 0
+    assert payload["invariants"] == {"free_rank": 0, "torsion": []}
+    assert payload["inputs"]["r"] == "x^0"
+
+
 def test_tensor_verb(capsys):
     code, payload, _ = _run_json(
         capsys, "tensor", "--group", "catalog:C2", "--subgroups", "full,full",

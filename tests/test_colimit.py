@@ -18,7 +18,9 @@ from picolim.colimit import (
     symmetric_commutator,
 )
 from picolim.errors import ConnectivityError
-from picolim.words import Word
+from picolim.nilpotent import free_nilpotent, normal_closure_pc
+from picolim.words import Word, commutator
+from picolim.wu import WuConfiguration, wu_group
 
 
 def _pair_equation_holds(a, b, helpers):
@@ -237,6 +239,43 @@ def test_hopf_h3_trivial_cases():
         assert report.invariants.is_trivial()
         assert any("class 3" in note for note in report.notes)
         assert report.inputs["r"] in ("x", "y")
+
+
+# -- the same formulas on the pc engine ---------------------------------------
+
+
+@pytest.mark.parametrize("n, c, rows", [(2, 3, (3, 2)), (2, 4, (6, 5))])
+def test_pi_n_on_wu_closures_matches_wu_group(n, c, rows):
+    cfg = WuConfiguration(n, c)
+    report = pi_n_colimit(NormalTuple(cfg.group(), cfg.closures()))
+    assert report.invariants == wu_group(cfg) == AbelianInvariants(1, ())
+    assert (report.numerator["igs_rows"], report.denominator["igs_rows"]) == rows
+
+
+def _ncl(F, word):
+    return normal_closure_pc(F, [F.collect(word)])
+
+
+def test_h1_on_pc_engine():
+    F = free_nilpotent(2, 3, names=["x", "y"])
+    x, y = Word.gen("x"), Word.gen("y")
+    assert h1_GMN(F, _ncl(F, x), _ncl(F, y)).invariants.is_trivial()
+
+
+def test_pi_n_single_pc_subgroup():
+    # gamma_2 of the free nilpotent group of rank 2, class 3 is Z^3
+    F = free_nilpotent(2, 3, names=["x", "y"])
+    derived = _ncl(F, commutator(Word.gen("x"), Word.gen("y")))
+    report = pi_n_colimit(NormalTuple(F, (derived,)))
+    assert report.invariants == AbelianInvariants(3, ())
+    assert report.denominator == {"igs_rows": 0, "pivots": []}
+
+
+def test_pi_1_needs_finite_engine():
+    F = free_nilpotent(2, 2, names=["x", "y"])
+    t = NormalTuple(F, (_ncl(F, Word.gen("x")), _ncl(F, Word.gen("y"))))
+    with pytest.raises(TypeError, match="finite engine"):
+        pi_1_colimit(t)
 
 
 def test_report_json_dict():

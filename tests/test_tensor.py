@@ -1,11 +1,12 @@
 import pytest
 
+from oracles import one_orientation_presentation
 from picolim.abelian import AbelianInvariants
 from picolim.catalog import catalog_group, catalog_subgroup
 from picolim.colimit import NormalTuple
 from picolim.coset import todd_coxeter
 from picolim.errors import BudgetError
-from picolim.nilpotent import free_nilpotent, full_subgroup_pc
+from picolim.nilpotent import free_nilpotent
 from picolim.tensor import (
     TensorSymbol,
     _ordered_partitions,
@@ -15,7 +16,6 @@ from picolim.tensor import (
     build_T,
     crossed_module_check,
     kernel_of_boundary,
-    one_orientation_presentation,
     relator_soundness,
 )
 
@@ -178,7 +178,7 @@ def test_input_validation():
         build_T(NormalTuple(s3, (s3.full_subgroup(),)))
     g = free_nilpotent(2, 2)
     with pytest.raises(TypeError):
-        build_T(NormalTuple(g, (full_subgroup_pc(g), full_subgroup_pc(g))))
+        build_T(NormalTuple(g, (g.full_subgroup(), g.full_subgroup())))
 
 
 def test_kernel_respects_coset_limit():

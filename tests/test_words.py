@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import reduce_word
 from picolim.words import (
     Word,
     commutator,
@@ -10,7 +11,6 @@ from picolim.words import (
     hopf_element_brackets,
     left_normed_commutator,
     render_word,
-    reduce_word,
 )
 
 

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from oracles import project_subgroup
 from picolim.abelian import AbelianInvariants
-from picolim.nilpotent import free_nilpotent, normal_closure_pc, project_subgroup
+from picolim.nilpotent import free_nilpotent, normal_closure_pc
 from picolim.words import Word, hopf_element, left_normed_commutator
 from picolim.wu import (
     WuConfiguration,
