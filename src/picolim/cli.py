@@ -6,7 +6,8 @@ timestamps, so fixed inputs give byte-identical output).
 
 Exit codes: 0 for a computed result, 1 for malformed input, 2 when a
 formula's hypothesis fails (the witness is part of the report), 3 when a
-size budget or enumeration limit runs out.
+size budget or enumeration limit runs out, 4 when an internal invariant
+check fails.
 
 Group inputs accept three forms: catalog:NAME, an inline presentation in
 the `gens: ... | rels: ...` DSL, or a path to a file holding one.
@@ -32,7 +33,7 @@ from .colimit import (
     search_disconnected_triple,
 )
 from .coset import todd_coxeter
-from .errors import BudgetError, ConnectivityError, ParseError
+from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
 from .presentations import parse_presentation, parse_word
 from .tensor import SYMBOL_BUDGET, build_T, kernel_of_boundary
@@ -435,6 +436,15 @@ def main(argv=None):
         else:
             print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        if args is not None and getattr(args, "json", False):
+            print(json.dumps(
+                {"schema": SCHEMA, "status": "internal-error", "message": str(exc)},
+                sort_keys=True, indent=2,
+            ))
+        else:
+            print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

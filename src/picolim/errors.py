@@ -1,7 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: ParseError -> 1, ConnectivityError -> 2,
-BudgetError -> 3.  Everything else that signals misuse is a plain ValueError.
+BudgetError -> 3, InternalError -> 4.  Everything else that signals misuse is
+a plain ValueError.
 """
 
 
@@ -26,3 +27,8 @@ class ConnectivityError(RuntimeError):
 
 class BudgetError(RuntimeError):
     """A size budget or enumeration limit was exhausted."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant check failed: the program, not the input, is
+    at fault.  Raised instead of `assert` so the check survives `python -O`."""

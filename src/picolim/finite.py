@@ -5,17 +5,28 @@ data and images of its presentation generators.  Groups are realized from a
 completed coset table over the trivial subgroup, so element i is the coset
 reached from the identity by the i-th Schreier representative.
 
-FinSubgroup is an element set inside a parent FiniteGroup; the operations
-(closure, normal closure, intersection, product, commutator subgroup) are
-exact set computations.  Abelian invariants of a quotient A/B go through
-the Smith normal form of the multiplication-table relation matrix of A/B.
+The multiplication table is composed along the Schreier tree rather than
+traced word by word: if b = a*x for a tree edge labelled by column x, then
+mul(i, b) = perm_x[mul(i, a)], so column b is column a pushed through one
+permutation.  The table is column-major (mul(i, j) = _mul[j][i]); above
+_MUL_TABLE_CAP elements no table is kept and products are traced.
+
+FinSubgroup is an element set inside a parent FiniteGroup, together with
+a greedy generating set.  Closures are a BFS over right multiplication by
+the generators, so they cost O(|H| log |H|) products rather than |H|^2.
+Normality, normal closures and commutator subgroups conjugate generators
+only.  Normal subgroups are the joins of the normal closures of conjugacy
+classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005); the whole subgroup lattice is built only on request.  Abelian
+invariants of a quotient A/B go through the Smith normal form of the
+Cayley-graph relation matrix of A/B.
 """
 
 import random
 
 from .abelian import AbelianInvariants
 from .coset import todd_coxeter
-from .errors import BudgetError
+from .errors import BudgetError, InternalError
 
 ORDER_CAP = 20_000
 _MUL_TABLE_CAP = 1500
@@ -30,15 +41,18 @@ class FiniteGroup:
         self.perms = [tuple(p) for p in perms]
         self.gen_images = dict(gen_images)
         self.name = name
-        self._rep_cols = self._representative_columns()
+        self._rep_cols, tree = self._representative_columns()
         self._mul = None
         if self.n <= _MUL_TABLE_CAP:
-            self._mul = [
-                [self._trace(i, self._rep_cols[j]) for j in range(self.n)]
-                for i in range(self.n)
-            ]
+            # column-major: column b = a*x is column a pushed through perm_x
+            cols = [None] * self.n
+            cols[0] = list(range(self.n))
+            for b, a, x in tree:
+                cols[b] = list(map(self.perms[x].__getitem__, cols[a]))
+            self._mul = cols
         self._inv = [self._find_inverse(i) for i in range(self.n)]
         self._subgroups = None
+        self._normals = None
         self._check_axioms()
 
     @classmethod
@@ -60,8 +74,11 @@ class FiniteGroup:
         return cls.from_coset_table(table, name=name)
 
     def _representative_columns(self):
+        """Schreier representatives as column tuples, and the BFS tree as
+        edges (b, a, x) with b = a*x, listed parents first."""
         reps = {0: ()}
         order = [0]
+        tree = []
         i = 0
         while i < len(order):
             a = order[i]
@@ -71,9 +88,10 @@ class FiniteGroup:
                 if b not in reps:
                     reps[b] = reps[a] + (x,)
                     order.append(b)
+                    tree.append((b, a, x))
         if len(reps) != self.n:
             raise ValueError("generator permutations do not act transitively")
-        return [reps[i] for i in range(self.n)]
+        return [reps[i] for i in range(self.n)], tree
 
     def _trace(self, start, cols):
         for x in cols:
@@ -81,12 +99,12 @@ class FiniteGroup:
         return start
 
     def _find_inverse(self, i):
-        # follow the representative word of i backwards from the identity
+        # follow the representative word of i backwards from the identity;
+        # _check_axioms verifies the inverse axiom for every element
         cols = self._rep_cols[i]
         out = 0
         for x in reversed(cols):
             out = self.perms[x ^ 1][out]
-        assert self.mul(i, out) == 0
         return out
 
     def _check_axioms(self):
@@ -107,7 +125,7 @@ class FiniteGroup:
 
     def mul(self, i, j):
         if self._mul is not None:
-            return self._mul[i][j]
+            return self._mul[j][i]
         return self._trace(i, self._rep_cols[j])
 
     def inv(self, i):
@@ -169,12 +187,11 @@ class FiniteGroup:
 
     def subgroup(self, elements):
         """Closure of the given element ids."""
-        return FinSubgroup(self, _closure(self, set(elements) | {0}))
+        return FinSubgroup(self, _closure(self, elements)[0])
 
     def normal_closure(self, elements):
-        seeds = set(elements) | {0}
-        conj = {self.conj(g, s) for s in seeds for g in range(self.n)}
-        return FinSubgroup(self, _closure(self, conj))
+        members, _ = _normal_closure(self, self.gen_images.values(), elements)
+        return FinSubgroup(self, members)
 
     def all_subgroups(self):
         """Every subgroup, as FinSubgroups sorted by (order, element tuple)."""
@@ -187,7 +204,7 @@ class FiniteGroup:
                     for g in range(1, self.n):
                         if g in h:
                             continue
-                        grown = frozenset(_closure(self, set(h) | {g}))
+                        grown = frozenset(_closure(self, set(h) | {g})[0])
                         if grown not in found:
                             found.add(grown)
                             nxt.append(grown)
@@ -199,7 +216,48 @@ class FiniteGroup:
         return self._subgroups
 
     def normal_subgroups(self):
-        return [h for h in self.all_subgroups() if h.is_normal()]
+        """Every normal subgroup, sorted by (order, element tuple).
+
+        Each is a join of normal closures of conjugacy classes, so the
+        joins of those closures, grown from the trivial subgroup until
+        nothing new appears, are all of them.
+        """
+        if self._normals is None:
+            conjugators = list(self.gen_images.values())
+            closures = {}
+            seen = set()
+            for x in range(self.n):
+                if x in seen:
+                    continue
+                orbit = [x]
+                seen.add(x)
+                for y in orbit:
+                    for g in conjugators:
+                        c = self.conj(g, y)
+                        if c not in seen:
+                            seen.add(c)
+                            orbit.append(c)
+                members, gens = _closure(self, orbit)
+                closures.setdefault(frozenset(members), gens)
+            found = {frozenset([0]): []}
+            frontier = [frozenset([0])]
+            while frontier:
+                nxt = []
+                for h in frontier:
+                    for c, c_gens in closures.items():
+                        if c <= h:
+                            continue
+                        members, gens = _closure(self, c_gens, h, found[h])
+                        grown = frozenset(members)
+                        if grown not in found:
+                            found[grown] = gens
+                            nxt.append(grown)
+                frontier = nxt
+            self._normals = sorted(
+                (FinSubgroup(self, fs) for fs in found),
+                key=lambda s: (s.order(), s.members),
+            )
+        return list(self._normals)
 
     def quotient(self, normal):
         """Quotient group with its projection list (element -> coset id)."""
@@ -207,15 +265,7 @@ class FiniteGroup:
             raise ValueError("subgroup belongs to a different group")
         if not normal.is_normal():
             raise ValueError("quotient by a non-normal subgroup")
-        nset = normal.member_set
-        coset_rep = {}
-        reps = []
-        for x in range(self.n):
-            r = min(self.mul(x, h) for h in nset)
-            if r == x:
-                coset_rep[x] = len(reps)
-                reps.append(x)
-        proj = [coset_rep[min(self.mul(x, h) for h in nset)] for x in range(self.n)]
+        reps, proj = _coset_labels(self, range(self.n), normal.members)
         perms = []
         for perm in self.perms:
             perms.append([proj[perm[r]] for r in reps])
@@ -228,23 +278,75 @@ class FiniteGroup:
         return f"<{label} of order {self.n}>"
 
 
-def _closure(group, seed):
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in members:
-                        members.add(c)
+def _closure(group, seed, members=(0,), gens=()):
+    """Members and a greedy generating set of <members, seed>, where
+    `members` is a subgroup generated by `gens`.
+
+    Each seed element not yet inside becomes a generator.  A BFS over right
+    multiplication by the generators then closes the set: old members need
+    only the new generator, new members need all of them.  In a finite
+    group right multiplication by generators reaches the whole subgroup.
+    """
+    mul = group.mul
+    inside = set(members)
+    order = list(members)
+    gens = list(gens)
+    for s in seed:
+        if s in inside:
+            continue
+        gens.append(s)
+        frontier = []
+        for m in order:
+            c = mul(m, s)
+            if c not in inside:
+                inside.add(c)
+                frontier.append(c)
+        while frontier:
+            order += frontier
+            nxt = []
+            for m in frontier:
+                for g in gens:
+                    c = mul(m, g)
+                    if c not in inside:
+                        inside.add(c)
                         nxt.append(c)
-        frontier = nxt
-    return members
+            frontier = nxt
+    return inside, gens
+
+
+def _normal_closure(group, conjugators, seed):
+    """Members and generators of the normal closure of `seed` under
+    conjugation by `conjugators`: a subgroup is normalized by a group
+    exactly when the conjugates of its generators by the group's
+    generators lie inside it."""
+    members, gens = _closure(group, seed)
+    pending = list(gens)
+    while pending:
+        fresh = [group.conj(g, h) for h in pending for g in conjugators]
+        before = len(gens)
+        members, gens = _closure(group, fresh, members, gens)
+        pending = gens[before:]
+    return members, gens
+
+
+def _coset_labels(group, members, sub):
+    """Coset representatives and labels of the cosets x*sub of the
+    ascending `members`.  The first unlabelled x is the least element of
+    its coset, so coset ids follow the order of the least elements."""
+    proj = [None] * group.n
+    reps = []
+    for x in members:
+        if proj[x] is None:
+            label = len(reps)
+            reps.append(x)
+            for h in sub:
+                proj[group.mul(x, h)] = label
+    return reps, proj
 
 
 class FinSubgroup:
-    """A subgroup of a FiniteGroup, stored as its full element set."""
+    """A subgroup of a FiniteGroup: its full element set and a greedy
+    generating set."""
 
     def __init__(self, parent, members):
         self.parent = parent
@@ -252,10 +354,11 @@ class FinSubgroup:
         self.member_set = frozenset(self.members)
         if 0 not in self.member_set:
             raise ValueError("subgroup must contain the identity")
-        for a in self.members:
-            for b in self.members:
-                if parent.mul(a, b) not in self.member_set:
-                    raise ValueError("element set is not closed under multiplication")
+        # the closure of a finite set equals the set exactly when it is closed
+        closed, gens = _closure(parent, self.members)
+        if closed != self.member_set:
+            raise ValueError("element set is not closed under multiplication")
+        self.gens = tuple(gens)
 
     def order(self):
         return len(self.members)
@@ -276,7 +379,7 @@ class FinSubgroup:
         return all(
             g.conj(a, x) in self.member_set
             for a in g.gen_images.values()
-            for x in self.members
+            for x in self.gens
         )
 
     def intersect(self, other):
@@ -284,29 +387,21 @@ class FinSubgroup:
         return FinSubgroup(self.parent, self.member_set & other.member_set)
 
     def product(self, other):
-        """Set product HK; requires at least one factor normal."""
+        """Set product HK; requires at least one factor normal, so that
+        HK is the subgroup generated by H and K."""
         self._same_parent(other)
         if not (self.is_normal() or other.is_normal()):
             raise ValueError("product requires one normal factor")
-        g = self.parent
-        out = {g.mul(a, b) for a in self.members for b in other.members}
-        return FinSubgroup(g, out)
+        members, _ = _closure(self.parent, other.gens, self.members, self.gens)
+        return FinSubgroup(self.parent, members)
 
     def commutator(self, other):
-        """[H, K]: closure of all [h, k], normalized inside <H, K>."""
+        """[H, K]: the normal closure in <H, K> of the commutators of the
+        generators of H with those of K."""
         self._same_parent(other)
         g = self.parent
-        comms = {g.comm(a, b) for a in self.members for b in other.members}
-        members = _closure(g, comms)
-        # normalize within the join until stable
-        join = _closure(g, self.member_set | other.member_set)
-        while True:
-            extra = {
-                g.conj(j, x) for j in join for x in members if g.conj(j, x) not in members
-            }
-            if not extra:
-                break
-            members = _closure(g, members | extra)
+        comms = [g.comm(a, b) for a in self.gens for b in other.gens]
+        members, _ = _normal_closure(g, self.gens + other.gens, comms)
         return FinSubgroup(g, members)
 
     def quotient_invariants(self, sub):
@@ -336,36 +431,26 @@ class FinSubgroup:
 def abelian_invariants_of_quotient(a, b):
     """Elementary divisors of A/B (B normal in A, quotient abelian).
 
-    A greedy generating set of A/B keeps the relation matrix narrow; the
-    rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
-    a spanning tree of coset representatives.
+    Both conditions are checked on generators of A, which suffices in a
+    finite group.  A greedy generating set of A/B keeps the relation matrix
+    narrow; the rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i)
+    over a spanning tree of coset representatives.
     """
     if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
     g = a.parent
-    for x in a.members:
-        for y in b.members:
+    for x in a.gens:
+        for y in b.gens:
             if g.conj(x, y) not in b.member_set:
                 raise ValueError("B is not normal in A")
-    for x in a.members:
-        for y in a.members:
+    for x in a.gens:
+        for y in a.gens:
             if g.comm(x, y) not in b.member_set:
                 raise ValueError("A/B is not abelian")
-    # enumerate the cosets of B in A
-    bset = b.member_set
-    coset_id = {}
-    reps = []
-    for x in a.members:
-        r = min(g.mul(x, h) for h in bset)
-        if r not in coset_id:
-            coset_id[r] = len(reps)
-            reps.append(r)
+    reps, proj = _coset_labels(g, a.members, b.members)
     k = len(reps)
     if k == 1:
         return AbelianInvariants(0, ())
-    proj = [0] * a.parent.n
-    for x in a.members:
-        proj[x] = coset_id[min(g.mul(x, h) for h in bset)]
 
     def q_mul(i, j):
         return proj[g.mul(reps[i], reps[j])]
@@ -400,7 +485,9 @@ def abelian_invariants_of_quotient(a, b):
                 row = [x - y for x, y in zip(step, vec[s])]
                 if any(row):
                     rows.append(row)
-    assert len(vec) == k, "generators fail to span the quotient"
+    if len(vec) != k:
+        raise InternalError("generators fail to span the quotient")
     inv = AbelianInvariants.from_relation_matrix(rows, m)
-    assert inv.order() == k, "quotient order mismatch after Smith reduction"
+    if inv.order() != k:
+        raise InternalError("quotient order mismatch after Smith reduction")
     return inv

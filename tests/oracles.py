@@ -7,6 +7,7 @@ them is needed to compute an answer.
 import csv
 import random
 
+from picolim.finite import FinSubgroup
 from picolim.nilpotent import IDENTITY, subgroup
 from picolim.presentations import Presentation
 from picolim.tensor import _free_reduce
@@ -128,6 +129,50 @@ def one_orientation_presentation(tp):
             relators.append(cols)
     names = [name for name, s in zip(tp.base.generators, tp.symbols) if 1 in s.A]
     return Presentation(names, relators)
+
+
+# -- finite engine -------------------------------------------------------------
+
+
+def _closure_by_products(g, seed):
+    """Closure by multiplying every new element with every member."""
+    members = set(seed) | {0}
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(members):
+                for c in (g.mul(a, b), g.mul(b, a)):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return members
+
+
+def normal_subgroups_by_lattice(g):
+    """Normal subgroups found by filtering the whole subgroup lattice."""
+    return [h for h in g.all_subgroups() if h.is_normal()]
+
+
+def commutator_by_elements(h, k):
+    """[H, K] from all |H||K| commutators, normalised inside <H, K>."""
+    g = h.parent
+    members = _closure_by_products(g, {g.comm(a, b) for a in h.members for b in k.members})
+    join = _closure_by_products(g, h.member_set | k.member_set)
+    while True:
+        extra = {g.conj(j, x) for j in join for x in members} - members
+        if not extra:
+            return FinSubgroup(g, members)
+        members = _closure_by_products(g, members | extra)
+
+
+def coset_labels_by_min(a, b):
+    """Coset id of each x in A: the rank of min(xB) among the coset minima."""
+    g = a.parent
+    least = {x: min(g.mul(x, y) for y in b.members) for x in a.members}
+    rank = {r: i for i, r in enumerate(sorted(set(least.values())))}
+    return {x: rank[r] for x, r in least.items()}
 
 
 # -- words ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from picolim.abelian import AbelianInvariants
 from picolim.cli import main
 
 
@@ -224,6 +225,19 @@ def test_budget_exit_code(capsys):
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "budget-exceeded"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(
+        AbelianInvariants, "from_relation_matrix",
+        classmethod(lambda cls, rows, ncols: cls(0, ())),
+    )
+    code, payload, _ = _run_json(
+        capsys, "pi", "--n", "2", "--group", "catalog:S3", "--subgroups", "A3,A3",
+    )
+    assert code == 4
+    assert payload["status"] == "internal-error"
+    assert "Smith" in payload["message"]
 
 
 def test_coset_limit_env_override(capsys, monkeypatch):

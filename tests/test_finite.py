@@ -1,10 +1,30 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
+from oracles import commutator_by_elements, coset_labels_by_min, normal_subgroups_by_lattice
 from picolim.abelian import AbelianInvariants
-from picolim.finite import FinSubgroup, FiniteGroup, abelian_invariants_of_quotient
+from picolim.catalog import catalog_group, catalog_names
+from picolim.colimit import NormalTuple, pi_n_colimit
+from picolim.finite import (
+    _MUL_TABLE_CAP,
+    FinSubgroup,
+    FiniteGroup,
+    abelian_invariants_of_quotient,
+)
 from picolim.presentations import parse_presentation, parse_word
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the DSL has no powers of products, so (a*b)^n is written out
+A5_TEXT = "gens: a,b | rels: a^2, b^3, " + "*".join(["a*b"] * 5)
+PSL27_TEXT = (
+    "gens: a,b | rels: a^2, b^3, " + "*".join(["a*b"] * 7) + ", "
+    + "*".join(["a*b*a^-1*b^-1"] * 4)
+)
 
 
 def _realize(text, name=None):
@@ -226,3 +246,116 @@ def test_order_one_group():
     assert g.n == 1
     assert g.is_abelian()
     assert g.abelian_invariants().is_trivial()
+
+
+# -- the generator-based calculus against the element-set oracles -------------
+
+
+def test_normal_subgroups_match_lattice():
+    groups = [catalog_group(name) for name in catalog_names()]
+    groups += [_realize(A5_TEXT, name="A5"), _realize(PSL27_TEXT, name="PSL(2,7)")]
+    assert [g.n for g in groups[-2:]] == [60, 168]
+    for g in groups:
+        # same subgroups in the same (order, members) order as the lattice
+        assert g.normal_subgroups() == normal_subgroups_by_lattice(g), g.name
+
+
+def test_normal_subgroups_returns_a_copy(s3):
+    first = s3.normal_subgroups()
+    first.clear()
+    assert len(s3.normal_subgroups()) == 3
+
+
+def test_commutator_matches_elements_s4(s4):
+    subs = s4.all_subgroups()
+    for h, k in product(subs, repeat=2):
+        assert h.commutator(k) == commutator_by_elements(h, k)
+
+
+def test_commutator_matches_elements_catalog_normal_pairs():
+    for name in catalog_names():
+        g = catalog_group(name)
+        if g.n > 16:
+            continue
+        normals = g.normal_subgroups()
+        for h, k in product(normals, repeat=2):
+            assert h.commutator(k) == commutator_by_elements(h, k), name
+
+
+def test_normal_closure_matches_all_conjugates(s4):
+    for g in (s4, catalog_group("D8")):
+        for x in range(g.n):
+            conjugates = {g.conj(y, x) for y in range(g.n)}
+            assert g.normal_closure([x]) == g.subgroup(conjugates)
+
+
+def test_normality_checks_match_elementwise(s4):
+    for g in (s4, catalog_group("D8")):
+        full = g.full_subgroup()
+        for b in g.all_subgroups():
+            normal = all(
+                g.conj(x, y) in b.member_set for x in range(g.n) for y in b.members
+            )
+            assert b.is_normal() == normal
+            if not normal:
+                with pytest.raises(ValueError, match="B is not normal in A"):
+                    abelian_invariants_of_quotient(full, b)
+
+
+def test_quotient_projection_matches_min_labels(s4):
+    for g in (s4, catalog_group("D8")):
+        full = g.full_subgroup()
+        for n in g.normal_subgroups():
+            _, proj = g.quotient(n)
+            labels = coset_labels_by_min(full, n)
+            assert proj == [labels[x] for x in range(g.n)]
+
+
+# -- groups above the multiplication-table cap: products are traced ----------
+
+
+@pytest.fixture(scope="module")
+def d800():
+    return _realize("gens: r,s | rels: r^800, s^2, s*r*s^-1*r", name="D800")
+
+
+def test_traced_group_subgroup_calculus(d800):
+    assert d800.n == 1600 > _MUL_TABLE_CAP
+    derived = d800.derived_subgroup()
+    assert derived.order() == 400
+    report = pi_n_colimit(NormalTuple(d800, (derived, d800.full_subgroup())))
+    assert report.invariants == AbelianInvariants(0, (2,))
+    r = d800.gen_images["r"]
+    with pytest.raises(ValueError, match="not closed"):
+        FinSubgroup(d800, [0, r])
+
+
+# -- invariant checks survive python -O ------------------------------------------
+
+
+_WRONG_ORDER_SCRIPT = """
+from picolim.abelian import AbelianInvariants
+from picolim.errors import InternalError
+from picolim.finite import FiniteGroup, abelian_invariants_of_quotient
+from picolim.presentations import parse_presentation
+
+assert False, "asserts must be off under -O"
+AbelianInvariants.from_relation_matrix = classmethod(lambda cls, rows, ncols: cls(0, ()))
+c6 = FiniteGroup.from_presentation(parse_presentation("gens: x | rels: x^6"))
+try:
+    abelian_invariants_of_quotient(c6.full_subgroup(), c6.trivial_subgroup())
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+
+def test_internal_check_fires_under_optimize():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_ORDER_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "InternalError: quotient order mismatch after Smith reduction"
+    )
