@@ -1,12 +1,22 @@
 """Integer matrix normal forms and abelian invariants.
 
-Everything here is exact: plain Python ints, no floats.  Pivots are chosen
-by minimal absolute value to keep entries small.  Row vectors are lists of
-ints; matrices are lists of rows of equal length.
+Everything here is exact: plain Python ints, no floats.  At the interface
+row vectors are dense lists of ints and matrices are lists of rows of equal
+length.  Inside, `hermite_reduce` keeps each row as a sparse {column:
+value} dict and inserts rows by leading column with gcd steps: Schreier
+relation matrices carry two or three nonzeros per row, and sparse rows
+are what makes such badly presented Z-modules tractable (Havas, Holt and
+Rees, "Recognizing badly presented Z-modules", Linear Algebra Appl. 192,
+1993).  `smith_normal_form` splits off the unit pivots of that Hermite
+form and runs a dense elimination, with pivots of minimal absolute value,
+only on the block that remains.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+
+from .errors import InternalError
 
 
 class AbelianInvariants:
@@ -70,51 +80,66 @@ def hermite_reduce(rows, ncols):
 
     Returns rows sorted by pivot column, pivots positive, entries above each
     pivot reduced into [0, pivot).  This is the canonical (row) Hermite form
-    of the lattice.
+    of the lattice.  Rows come in and go out dense; in between each is a
+    {column: value} dict of its nonzeros.
     """
-    basis = {}  # pivot column -> row
-
-    def insert(vec):
-        vec = list(vec)
-        while True:
-            col = next((j for j, v in enumerate(vec) if v), None)
-            if col is None:
-                return
-            if col not in basis:
-                if vec[col] < 0:
-                    vec = [-v for v in vec]
-                basis[col] = vec
-                return
-            row = basis[col]
-            a, b = row[col], vec[col]
-            if b % a == 0:
-                q = b // a
-                vec = [v - q * r for v, r in zip(vec, row)]
-                continue
-            # replace the pivot row by the gcd combination, recycle the rest
-            g = gcd(a, b)
-            x, y = _bezout(a, b, g)
-            comb = [x * r + y * v for r, v in zip(row, vec)]
-            vec = [v - (b // g) * c for v, c in zip(vec, comb)]
-            leftover = [r - (a // g) * c for r, c in zip(row, comb)]
-            basis[col] = comb
-            insert(leftover)
-
-    for vec in rows:
-        if len(vec) != ncols:
+    basis = {}  # pivot column -> sparse row
+    for given in rows:
+        if len(given) != ncols:
             raise ValueError("ragged matrix")
-        insert(vec)
+        pending = [dict(compress(enumerate(given), given))]
+        while pending:
+            vec = pending.pop()
+            while vec:
+                col = min(vec)
+                row = basis.get(col)
+                if row is None:
+                    if vec[col] < 0:
+                        vec = {j: -v for j, v in vec.items()}
+                    basis[col] = vec
+                    break
+                a, b = row[col], vec[col]
+                if b % a == 0:
+                    _add_multiple(vec, -(b // a), row)
+                    continue
+                # replace the pivot row by the gcd combination, recycle the rest
+                g = gcd(a, b)
+                x, y = _bezout(a, b, g)
+                comb = {}
+                _add_multiple(comb, x, row)
+                _add_multiple(comb, y, vec)
+                _add_multiple(vec, -(b // g), comb)
+                _add_multiple(row, -(a // g), comb)
+                basis[col] = comb
+                pending.append(row)
 
     cols = sorted(basis)
-    # reduce above-pivot entries
-    for i, ci in enumerate(cols):
+    # reduce above-pivot entries, bottom up, so each row subtracted is final
+    for i in range(len(cols) - 2, -1, -1):
+        row = basis[cols[i]]
         for cj in cols[i + 1 :]:
-            row = basis[ci]
-            piv = basis[cj][cj]
-            q = row[cj] // piv
-            if q:
-                basis[ci] = [v - q * r for v, r in zip(row, basis[cj])]
-    return [basis[c] for c in cols]
+            v = row.get(cj)
+            if v:
+                _add_multiple(row, -(v // basis[cj][cj]), basis[cj])
+    out = []
+    for c in cols:
+        dense = [0] * ncols
+        for j, v in basis[c].items():
+            dense[j] = v
+        out.append(dense)
+    return out
+
+
+def _add_multiple(vec, q, row):
+    """vec += q * row on sparse rows, in place, keeping only nonzeros."""
+    if not q:
+        return
+    for j, r in row.items():
+        v = vec.get(j, 0) + q * r
+        if v:
+            vec[j] = v
+        else:
+            del vec[j]
 
 
 def _bezout(a, b, g):
@@ -135,10 +160,30 @@ def _bezout(a, b, g):
 def smith_normal_form(rows, ncols):
     """Nonzero diagonal of the Smith form (d1 | d2 | ...), all positive.
 
-    Rows are reduced to a Hermite basis first so the core elimination works
-    on at most ncols rows.
+    Rows are reduced to the canonical Hermite form first.  There a column
+    whose pivot is 1 is zero in every other row, so a column operation
+    clears the rest of the pivot's row and splits off a divisor 1.  Each
+    such row is dropped with its column, and the dense elimination below
+    runs only on the block that remains.
     """
-    m = [list(r) for r in hermite_reduce(rows, ncols)]
+    units = set()
+    block = []
+    for row in hermite_reduce(rows, ncols):
+        for col, v in enumerate(row):
+            if v:
+                break
+        if v == 1:
+            units.add(col)
+        else:
+            block.append(row)
+    if units and block:
+        keep = [j for j in range(ncols) if j not in units]
+        block = [[row[j] for j in keep] for row in block]
+    return [1] * len(units) + _diagonalize(block, ncols - len(units))
+
+
+def _diagonalize(m, ncols):
+    """Smith divisors of a dense matrix, reduced in place."""
     if not m:
         return []
     nrows = len(m)
@@ -231,6 +276,6 @@ def order_in_quotient(vec, rows, ncols):
             residual = [v - q * r for v, r in zip(residual, row)]
     if any(residual):
         return None
-    k = denom
-    assert in_lattice([k * v for v in vec], basis)
-    return k
+    if not in_lattice([denom * v for v in vec], basis):
+        raise InternalError("order found over Q is not an order in the lattice")
+    return denom

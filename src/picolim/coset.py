@@ -17,6 +17,8 @@ deterministic for a fixed presentation, subgroup, limit and strategy.
 
 from collections import deque
 
+from .errors import InternalError
+
 EMPTY = -1
 
 
@@ -129,6 +131,16 @@ class _Enumeration:
                             self.deductions.append((mu, x))
 
     def scan(self, alpha, w, fill):
+        """Trace w from alpha forwards and backwards; close a one-entry gap,
+        merge on a mismatch, or (with fill) define cosets to bridge it.
+
+        A closed edge f --x--> b is pushed as the one deduction (f, x).
+        Felsch scans ded_rels[x] from f, and that list holds every rotation
+        of each relator and of its inverse that starts with x.  A relator
+        walk that crosses the edge backwards, from b along x ^ 1, is the
+        inverse of a walk that crosses it forwards, and a rotation of that
+        inverse starts with x at f.  So (b, x ^ 1) would scan nothing new.
+        """
         tab = self.tab
         nc = self.nc
         f = alpha
@@ -160,7 +172,6 @@ class _Enumeration:
                 tab[b * nc + (w[i] ^ 1)] = f
                 if self.save_deductions:
                     self.deductions.append((f, w[i]))
-                    self.deductions.append((b, w[i] ^ 1))
                 return
             if not fill:
                 return
@@ -246,7 +257,8 @@ class _Enumeration:
             row = []
             for x in range(nc):
                 t = tab[base + x]
-                assert t >= 0, "incomplete table after enumeration"
+                if t < 0:
+                    raise InternalError("incomplete table after enumeration")
                 row.append(renumber[self.rep(t)])
             rows.append(row)
         return rows
@@ -337,7 +349,8 @@ def schreier_representatives(table):
                 reps[b] = reps[a] + (x,)
                 order.append(b)
                 queue.append(b)
-    assert len(reps) == nrows, "coset table is not connected"
+    if len(reps) != nrows:
+        raise InternalError("coset table is not connected")
     return reps
 
 
@@ -382,7 +395,8 @@ def schreier_rewrite_matrix(table, relators):
                 if k is not None:
                     vec[k] += -1 if x & 1 else 1
                 c = d
-            assert c == start, "relator does not stabilize the cosets"
+            if c != start:
+                raise InternalError("relator does not stabilize the cosets")
             if any(vec):
                 rows.append(vec)
     return rows, len(col_index)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .abelian import AbelianInvariants
 from .coset import coset_table_from_action, schreier_rewrite_matrix, todd_coxeter
-from .errors import BudgetError
+from .errors import BudgetError, InternalError
 from .finite import FiniteGroup, abelian_invariants_of_quotient
 from .presentations import Presentation
 
@@ -286,12 +286,13 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     image = boundary_image(tp)
     image_order = image.order()
     if t_order % image_order:
-        raise AssertionError("image order does not divide the order of T")
+        raise InternalError("image order does not divide the order of T")
     kernel_order = t_order // image_order
 
     G = tp.ambient
     elt_pos = {e: i for i, e in enumerate(image.members)}
-    assert elt_pos[0] == 0
+    if elt_pos[0] != 0:
+        raise InternalError("the boundary image does not start at the identity")
     steps = tp.boundary_steps()
     rows = [[elt_pos[G.mul(e, d)] for d in steps] for e in image.members]
     pullback = coset_table_from_action(tp.base.generators, rows)
@@ -309,15 +310,20 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     if T is not None:
         dval = _boundary_values(tp, table)
         members = [j for j in range(T.n) if dval[j] == 0]
-        assert len(members) == kernel_order
+        if len(members) != kernel_order:
+            raise InternalError("direct kernel order differs from |T| / |image|")
         ker = T.subgroup(members)
-        assert ker.order() == kernel_order
+        if ker.order() != kernel_order:
+            raise InternalError("the kernel's elements do not close to a subgroup of its order")
         kernel_abelian = all(
             T.mul(a, b) == T.mul(b, a) for a in ker.members for b in ker.members
         )
         if kernel_abelian:
             direct = abelian_invariants_of_quotient(ker, T.trivial_subgroup())
-            assert direct == invariants, (direct, invariants)
+            if direct != invariants:
+                raise InternalError(
+                    f"direct kernel {direct} differs from Schreier rewriting {invariants}"
+                )
             verified = True
         else:
             notes.append("kernel is nonabelian; reporting its abelianization")

@@ -6,12 +6,67 @@ them is needed to compute an answer.
 
 import csv
 import random
+from math import gcd
 
+from picolim.abelian import _bezout, _diagonalize
 from picolim.finite import FinSubgroup
 from picolim.nilpotent import IDENTITY, subgroup
 from picolim.presentations import Presentation
 from picolim.tensor import _free_reduce
 from picolim.words import Word
+
+
+# -- integer matrices ------------------------------------------------------------
+
+
+def hermite_reduce_dense(rows, ncols):
+    """Canonical row Hermite form, by insertion of dense rows."""
+    basis = {}  # pivot column -> row
+
+    def insert(vec):
+        vec = list(vec)
+        while True:
+            col = next((j for j, v in enumerate(vec) if v), None)
+            if col is None:
+                return
+            if col not in basis:
+                if vec[col] < 0:
+                    vec = [-v for v in vec]
+                basis[col] = vec
+                return
+            row = basis[col]
+            a, b = row[col], vec[col]
+            if b % a == 0:
+                q = b // a
+                vec = [v - q * r for v, r in zip(vec, row)]
+                continue
+            g = gcd(a, b)
+            x, y = _bezout(a, b, g)
+            comb = [x * r + y * v for r, v in zip(row, vec)]
+            vec = [v - (b // g) * c for v, c in zip(vec, comb)]
+            leftover = [r - (a // g) * c for r, c in zip(row, comb)]
+            basis[col] = comb
+            insert(leftover)
+
+    for vec in rows:
+        if len(vec) != ncols:
+            raise ValueError("ragged matrix")
+        insert(vec)
+
+    cols = sorted(basis)
+    for i, ci in enumerate(cols):
+        for cj in cols[i + 1 :]:
+            row = basis[ci]
+            piv = basis[cj][cj]
+            q = row[cj] // piv
+            if q:
+                basis[ci] = [v - q * r for v, r in zip(row, basis[cj])]
+    return [basis[c] for c in cols]
+
+
+def smith_normal_form_dense(rows, ncols):
+    """Smith divisors by dense elimination of the whole Hermite form."""
+    return _diagonalize(hermite_reduce_dense(rows, ncols), ncols)
 
 
 # -- pc engine ---------------------------------------------------------------

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from oracles import coset_table_csv
 from picolim.abelian import AbelianInvariants
+from picolim.catalog import catalog_group, catalog_presentation
+from picolim.colimit import NormalTuple
 from picolim.coset import (
     coset_table_from_action,
     schreier_representatives,
@@ -9,6 +13,7 @@ from picolim.coset import (
     todd_coxeter,
 )
 from picolim.presentations import parse_presentation, parse_word
+from picolim.tensor import build_T
 
 S3 = "gens: r,s | rels: r^3, s^2, s*r*s^-1*r"
 
@@ -111,6 +116,31 @@ def test_to_csv_shape():
     assert lines[0] == "coset,a,a^-1"
     assert len(lines) == 4
     assert coset_table_csv(t).endswith("\n")
+
+
+def _felsch_pin_presentation(name):
+    if name.startswith("T:"):
+        g = catalog_group(name[2:])
+        return build_T(NormalTuple(g, (g.full_subgroup(),) * 2)).base
+    return catalog_presentation(name)
+
+
+# Felsch tables recorded while each closed edge still pushed two deductions,
+# (f, x) and (b, x ^ 1); one deduction per edge must give the same tables.
+@pytest.mark.parametrize(
+    "name,defined,n_cosets,rows_sha",
+    [
+        ("A4", 12, 12, "fa0bbac04a6e01f7"),
+        ("M16", 23, 16, "51cd42c89cc2eb55"),
+        ("Q16", 17, 16, "7965290fa4c0f184"),
+        ("T:C2xC2", 21, 16, "8c1fe07a9cb27cde"),
+        ("T:S3", 15, 6, "10c06dfaa4113929"),
+    ],
+)
+def test_felsch_tables_pinned(name, defined, n_cosets, rows_sha):
+    t = todd_coxeter(_felsch_pin_presentation(name), strategy="felsch")
+    assert (t.defined, t.n_cosets()) == (defined, n_cosets)
+    assert hashlib.sha256(repr(t.rows).encode()).hexdigest()[:16] == rows_sha
 
 
 def test_subgroup_column_out_of_range():
