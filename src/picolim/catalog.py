@@ -11,6 +11,7 @@ such as {r^2} or {a, b^2} meaning the subgroup generated by those images.
 Prefix a brace list with ncl to take the normal closure instead.
 """
 
+from .errors import InternalError
 from .finite import FiniteGroup
 from .presentations import parse_presentation, parse_words
 
@@ -151,7 +152,7 @@ def catalog_group(name):
         order, text, _ = _registry[key]
         g = FiniteGroup.from_presentation(parse_presentation(text), name=key)
         if g.n != order:
-            raise AssertionError(f"catalog group {key} realized with order {g.n}, expected {order}")
+            raise InternalError(f"catalog group {key} realized with order {g.n}, expected {order}")
         _cache[key] = g
     return _cache[key]
 

@@ -28,7 +28,7 @@ does not cover.
 from functools import reduce
 from itertools import combinations
 
-from .errors import ConnectivityError
+from .errors import ConnectivityError, InternalError
 from .finite import FiniteGroup
 from .nilpotent import free_nilpotent, normal_closure_pc
 from .words import render_word
@@ -71,6 +71,11 @@ def _intersection(subs):
 
 def _product(subs):
     return reduce(lambda a, b: a.product(b), subs)
+
+
+def _check_inside(numerator, denominator):
+    if not numerator.contains_subgroup(denominator):
+        raise InternalError("denominator must lie in the numerator")
 
 
 class Report:
@@ -192,7 +197,7 @@ def pi_n_colimit(t):
         denominator = t.ambient.trivial_subgroup()
     else:
         denominator = symmetric_commutator(t)
-    assert numerator.contains_subgroup(denominator), "denominator must lie in the intersection"
+    _check_inside(numerator, denominator)
     invariants = quotient_invariants(numerator, denominator)
     return Report(
         formula="pi_n_colimit",
@@ -234,7 +239,7 @@ def pi_2_colimit_n3(L, M, N):
             raise ValueError(f"{nm} is not normal")
     numerator = L.product(M).intersect(M.product(N))
     denominator = M.product(L.intersect(N))
-    assert numerator.contains_subgroup(denominator)
+    _check_inside(numerator, denominator)
     try:
         invariants = quotient_invariants(numerator, denominator)
         finding = None
@@ -259,7 +264,7 @@ def h1_GMN(ambient, M, N):
     full = ambient.full_subgroup()
     numerator = M.intersect(N)
     denominator = full.commutator(numerator).product(M.commutator(N))
-    assert numerator.contains_subgroup(denominator)
+    _check_inside(numerator, denominator)
     invariants = quotient_invariants(numerator, denominator)
     return Report(
         formula="h1_GMN",
@@ -285,7 +290,7 @@ def hopf_h3_check(rank, r_word, s_word, cls, names=None):
     rs = R.intersect(S)
     numerator = rs.intersect(derived)
     denominator = R.commutator(S).product(rs.commutator(full))
-    assert numerator.contains_subgroup(denominator)
+    _check_inside(numerator, denominator)
     invariants = quotient_invariants(numerator, denominator)
     first = F.gen_names[0]  # an identity relator renders as first^0
     return Report(

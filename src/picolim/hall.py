@@ -8,7 +8,7 @@ count in each weight agrees with the Witt number W(r, w), which this
 module also computes independently from the Mobius function.
 """
 
-from .errors import BudgetError
+from .errors import BudgetError, InternalError
 
 BASIS_BUDGET = 5000
 
@@ -35,7 +35,8 @@ def witt_number(r, w):
     for d in range(1, w + 1):
         if w % d == 0:
             total += mobius(d) * r ** (w // d)
-    assert total % w == 0
+    if total % w:
+        raise InternalError(f"Witt sum {total} at weight {w} is not divisible by {w}")
     return total // w
 
 
@@ -107,7 +108,8 @@ class HallBasis:
         got = [0] * cls
         for w in self.weights:
             got[w - 1] += 1
-        assert got == counts, "Lyndon word counts disagree with Witt numbers"
+        if got != counts:
+            raise InternalError("Lyndon word counts disagree with Witt numbers")
 
     def weight(self, idx):
         return self.weights[idx]

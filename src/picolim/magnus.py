@@ -10,6 +10,8 @@ as ground truth for its conjugation tables, and tests use it as an
 independent multiplication oracle.
 """
 
+from .errors import InternalError
+
 
 class TruncatedAlgebra:
 
@@ -42,7 +44,8 @@ class TruncatedAlgebra:
 
     def inv(self, f):
         """Inverse of a series with constant term 1 (alternating geometric series)."""
-        assert f.get((), 0) == 1, "inverse needs constant term 1"
+        if f.get((), 0) != 1:
+            raise InternalError("inverse needs constant term 1")
         u = dict(f)
         del u[()]
         out = self.one()

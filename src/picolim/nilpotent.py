@@ -15,13 +15,20 @@ basis index, leading exponents positive, rows Hermite-reduced above later
 pivots.  Membership is decided by sifting.  On the set of elements whose
 support starts at index d or later, the coordinate at d is additive, which
 is what makes echelon arithmetic on rows sound.
+
+One set of igs routines (sift, insert, semi-naive closure) runs over any
+group arithmetic with mul, pow, inv and lead: the pc group itself for
+subgroups, and pairs (kappa, eta) whose value kappa * eta is tracked for
+intersections, so that members of a product K * H split into their parts.
 """
 
 import math
 
 from .abelian import AbelianInvariants, _bezout
+from .errors import InternalError
 from .hall import HallBasis
 from .magnus import TruncatedAlgebra
+from .words import valid_generator_name
 
 IDENTITY = ()
 
@@ -37,6 +44,11 @@ class PcGroup:
             names = [f"x{i + 1}" for i in range(self.rank)]
         if len(names) != self.rank:
             raise ValueError("need one name per generator")
+        for i, name in enumerate(names):
+            if not valid_generator_name(name):
+                raise ValueError(f"bad generator name {name!r}")
+            if name in names[:i]:
+                raise ValueError(f"duplicate generator name {name!r}")
         self.gen_names = tuple(names)
         self._name_to_index = {n: i for i, n in enumerate(names)}
         self.alg = TruncatedAlgebra(self.rank, self.cls)
@@ -58,6 +70,9 @@ class PcGroup:
 
     def basis_element(self, idx):
         return ((idx, 1),)
+
+    def lead(self, u):
+        return u[0] if u else None
 
     def mul(self, u, v):
         for j, f in v:
@@ -168,7 +183,8 @@ class PcGroup:
 
     def series_to_element(self, series):
         """Exact exponent extraction, basis element by basis element."""
-        assert series.get((), 0) == 1, "group image must have constant term 1"
+        if series.get((), 0) != 1:
+            raise InternalError("group image must have constant term 1")
         alg = self.alg
         out = []
         for idx in range(self.basis.size):
@@ -176,7 +192,8 @@ class PcGroup:
             if e:
                 out.append((idx, e))
                 series = alg.mul(alg.pow(self.series_of_basis(idx), -e), series)
-        assert series == alg.one(), "series is not the image of a group element"
+        if series != alg.one():
+            raise InternalError("series is not the image of a group element")
         return tuple(out)
 
     # -- words -------------------------------------------------------------
@@ -215,20 +232,26 @@ def free_nilpotent(rank, cls, names=None):
 
 
 # -- igs rows --------------------------------------------------------------
+#
+# A is PcGroup or _Pairs; A.lead(u) is the leading (basis index, exponent)
+# of u, or None for the identity.
 
 
-def _sift(G, rows, u):
-    """Reduce u by pivot rows; () means membership."""
-    while u:
-        d, e = u[0]
+def _sift(A, rows, u):
+    """Divide exact multiples of pivot rows out of u; returns the residual,
+    whose lead is None iff u is a member."""
+    lead = A.lead(u)
+    while lead is not None:
+        d, e = lead
         row = rows.get(d)
         if row is None:
             return u
-        m = row[0][1]
+        m = A.lead(row)[1]
         if e % m:
             return u
-        u = G.mul(G.pow(row, -(e // m)), u)
-    return IDENTITY
+        u = A.mul(A.pow(row, -(e // m)), u)
+        lead = A.lead(u)
+    return u
 
 
 def _sift_coords(G, rows, u, pivots):
@@ -250,59 +273,60 @@ def _sift_coords(G, rows, u, pivots):
     return coords
 
 
-def _insert(G, rows, u):
+def _insert(A, rows, u):
     """Euclid insertion of u into pivot rows; returns indices of changed pivots."""
     changed = []
     pending = [u]
     while pending:
-        u = pending.pop()
-        while u:
-            d, e = u[0]
-            row = rows.get(d)
-            if row is None:
-                rows[d] = u if e > 0 else G.inv(u)
-                changed.append(d)
-                break
-            m = row[0][1]
-            if e % m == 0:
-                u = G.mul(G.pow(row, -(e // m)), u)
-                continue
-            g = math.gcd(m, e)
-            x, y = _bezout(m, e, g)
-            new = G.mul(G.pow(row, x), G.pow(u, y))
-            assert new[0] == (d, g)
-            rows[d] = new
+        u = _sift(A, rows, pending.pop())
+        lead = A.lead(u)
+        if lead is None:
+            continue
+        d, e = lead
+        row = rows.get(d)
+        if row is None:
+            rows[d] = u if e > 0 else A.inv(u)
             changed.append(d)
-            pending.append(G.mul(G.pow(new, -(m // g)), row))
-            u = G.mul(G.pow(new, -(e // g)), u)
+            continue
+        m = A.lead(row)[1]
+        g = math.gcd(m, e)
+        x, y = _bezout(m, e, g)
+        new = A.mul(A.pow(row, x), A.pow(u, y))
+        if A.lead(new) != (d, g):
+            raise InternalError(f"gcd row at pivot {d} does not lead with exponent {g}")
+        rows[d] = new
+        changed.append(d)
+        pending.append(A.mul(A.pow(new, -(m // g)), row))
+        pending.append(A.mul(A.pow(new, -(e // g)), u))
     return changed
 
 
-def _close(G, rows, conjugate_by=None):
-    """Close pivot rows under inverse and products, and optionally under
-    conjugation by the given elements (for normal closures)."""
-    dirty = set(rows)
+def _close(A, rows, dirty, conjugate_by=()):
+    """Close pivot rows under inverse and products, and under conjugation
+    by the given elements (for normal closures).
+
+    Semi-naive: rows outside `dirty` must already be closed among
+    themselves, so only a row in `dirty` is probed, by its inverse, its
+    products with every row in both orders and its conjugates; every
+    pivot that an insertion changes is probed again.  When nothing is
+    dirty, every pair of rows has been probed, which is the igs criterion
+    of Sims, Computation with Finitely Presented Groups (1994), ch. 9.
+    """
+    dirty = set(dirty)
     while dirty:
         d = dirty.pop()
-        a = rows.get(d)
-        if a is None:
-            continue
-        probes = [G.inv(a)]
+        a = rows[d]
+        probes = [A.inv(a)]
         for d2 in sorted(rows):
             b = rows[d2]
-            probes.append(G.mul(a, b))
+            probes.append(A.mul(a, b))
             if d2 != d:
-                probes.append(G.mul(b, a))
-        if conjugate_by:
-            for g in conjugate_by:
-                probes.append(G.conj(a, g))
-                probes.append(G.conj(a, G.inv(g)))
+                probes.append(A.mul(b, a))
+        for g in conjugate_by:
+            probes.append(A.conj(a, g))
+            probes.append(A.conj(a, A.inv(g)))
         for p in probes:
-            res = _sift(G, rows, p)
-            if res:
-                dirty.update(_insert(G, rows, res))
-                if rows.get(d) is not a:
-                    dirty.add(d)
+            dirty.update(_insert(A, rows, p))
 
 
 def _canonical(G, rows):
@@ -395,22 +419,24 @@ def _same_parent(h, k):
         raise ValueError("subgroups live in different pc groups")
 
 
-def subgroup(G, gens):
-    """Canonical igs of the subgroup generated by the given elements."""
+def _igs(G, gens, conjugate_by=()):
+    """Canonical igs of the subgroup generated by gens and closed under
+    conjugation by conjugate_by."""
     rows = {}
     for u in gens:
-        _insert(G, rows, _sift(G, rows, u))
-    _close(G, rows)
+        _insert(G, rows, u)
+    _close(G, rows, rows, conjugate_by)
     return PcSubgroup(G, _canonical(G, rows))
+
+
+def subgroup(G, gens):
+    """Canonical igs of the subgroup generated by the given elements."""
+    return _igs(G, gens)
 
 
 def normal_closure_pc(G, gens):
     """Least normal subgroup containing the given elements."""
-    rows = {}
-    for u in gens:
-        _insert(G, rows, _sift(G, rows, u))
-    _close(G, rows, conjugate_by=G.gens())
-    return PcSubgroup(G, _canonical(G, rows))
+    return _igs(G, gens, G.gens())
 
 
 def commutator_subgroup_pc(H, K):
@@ -424,126 +450,73 @@ def commutator_subgroup_pc(H, K):
 # -- intersection of normal subgroups --------------------------------------
 
 
-class _Paired:
-    """Igs rows for a product K_part * H_part, each row factored as
-    kappa * eta with kappa from K and eta from H, so that members can be
-    split back into their K and H parts."""
+class _Pairs:
+    """Arithmetic on pairs (kappa, eta) of elements of G, multiplied in the
+    semidirect product of G acting on G by conjugation:
+    (k1, e1)(k2, e2) = (k1 * e1 k2 e1^-1, e1 e2).  The map
+    (kappa, eta) -> kappa * eta is a homomorphism onto G, and the lead of a
+    pair is the lead of that image.  Igs rows over pairs span the product
+    of a K part and an H part, with every member factored as kappa * eta.
+    """
 
     def __init__(self, G):
         self.G = G
-        self.rows = {}
 
-    def p_mul(self, a, b):
+    def mul(self, a, b):
         G = self.G
         ka, ea = a
         kb, eb = b
         return (G.mul(ka, G.conj(kb, ea)), G.mul(ea, eb))
 
-    def p_inv(self, a):
+    def inv(self, a):
         G = self.G
         k, e = a
         ei = G.inv(e)
         return (G.conj(G.inv(k), ei), ei)
 
-    def p_pow(self, a, n):
+    def pow(self, a, n):
         if n < 0:
-            a, n = self.p_inv(a), -n
+            a, n = self.inv(a), -n
         out = (IDENTITY, IDENTITY)
         while n:
             if n & 1:
-                out = self.p_mul(out, a)
+                out = self.mul(out, a)
             n >>= 1
             if n:
-                a = self.p_mul(a, a)
+                a = self.mul(a, a)
         return out
 
-    def value(self, a):
-        return self.G.mul(a[0], a[1])
+    def lead(self, a):
+        return self.G.lead(self.G.mul(a[0], a[1]))
 
-    def sift(self, pair):
-        """Reduce; returns (residual pair, residual value)."""
-        G = self.G
-        v = self.value(pair)
-        while v:
-            d, e = v[0]
-            row = self.rows.get(d)
-            if row is None:
-                return pair, v
-            m = self.value(row)[0][1]
-            if e % m:
-                return pair, v
-            pair = self.p_mul(self.p_pow(row, -(e // m)), pair)
-            v = self.value(pair)
-        return pair, IDENTITY
-
-    def split(self, w):
-        """kappa, eta with w = kappa * eta; w must sift to the identity."""
-        G = self.G
-        acc = (IDENTITY, IDENTITY)
-        v = w
-        while v:
-            d, e = v[0]
-            row = self.rows.get(d)
-            if row is None or e % self.value(row)[0][1]:
-                raise ValueError("element is not in the tracked product")
-            q = e // self.value(row)[0][1]
-            acc = self.p_mul(acc, self.p_pow(row, q))
-            v = G.mul(G.pow(self.value(row), -q), v)
-        return acc
-
-    def insert(self, pair):
-        G = self.G
-        pending = [pair]
-        while pending:
-            pair = pending.pop()
-            pair, v = self.sift(pair)
-            while v:
-                d, e = v[0]
-                row = self.rows.get(d)
-                if row is None:
-                    if e < 0:
-                        pair = self.p_inv(pair)
-                    self.rows[d] = pair
-                    break
-                m = self.value(row)[0][1]
-                g = math.gcd(m, e)
-                x, y = _bezout(m, e, g)
-                new = self.p_mul(self.p_pow(row, x), self.p_pow(pair, y))
-                self.rows[d] = new
-                pending.append(self.p_mul(self.p_pow(new, -(m // g)), row))
-                pair = self.p_mul(self.p_pow(new, -(e // g)), pair)
-                pair, v = self.sift(pair)
-
-    def close(self):
-        changed = True
-        while changed:
-            changed = False
-            rowlist = [self.rows[d] for d in sorted(self.rows)]
-            probes = [self.p_inv(a) for a in rowlist]
-            probes += [self.p_mul(a, b) for a in rowlist for b in rowlist]
-            for p in probes:
-                _, v = self.sift(p)
-                if v:
-                    self.insert(p)
-                    changed = True
+    def split(self, rows, w):
+        """(kappa, eta) with w = kappa * eta, the product of the row powers
+        that sifting (w, 1) divides out; w must be a member."""
+        r = _sift(self, rows, (w, IDENTITY))
+        if self.lead(r) is not None:
+            raise InternalError("element is not in the tracked product")
+        return self.mul((w, IDENTITY), self.inv(r))
 
 
 def intersect_pc(H, K):
     """Intersection of two normal subgroups, built pivot by pivot.
 
     Descending through the basis, P holds the product of the parts of K
-    and H supported strictly below the current pivot.  A pivot d lies in
-    H cap K iff some power of z = rK^-(l/mK) * rH^(l/mH) (l = lcm of the
-    leading exponents) falls into P; the pair tracking on P then splits
-    that power into kappa * eta and rK^(k l/mK) * kappa = rH^(k l/mH) * eta^-1
-    is the witness row.
+    and H supported strictly below the current pivot; it is normal.  With
+    l the lcm of the leading exponents, a = l/mK and b = l/mH, an element
+    of H cap K leads at d with exponent k l iff z_k = rK^-(k a) * rH^(k b)
+    lies in P.  The commutator [rK, rH] lies in K below d, hence in P, so
+    z_k = z_1^k modulo P and the least such k is the order of z_1 modulo
+    P.  The pair tracking on P splits z_k into kappa * eta, and
+    rK^(k a) * kappa = rH^(k b) * eta^-1 is the witness row.
     """
     _same_parent(H, K)
     G = H.parent
     for name, sub in (("first", H), ("second", K)):
         if not sub.is_normal():
             raise ValueError(f"intersection needs normal subgroups; the {name} one is not")
-    P = _Paired(G)
+    pairs = _Pairs(G)
+    P = {}
     witnesses = []
     for d in range(G.basis.size - 1, -1, -1):
         rH = H.rows.get(d)
@@ -551,49 +524,44 @@ def intersect_pc(H, K):
         if rH is not None and rK is not None:
             mH, mK = rH[0][1], rK[0][1]
             l0 = mH * mK // math.gcd(mH, mK)
-            z = G.mul(G.pow(rK, -(l0 // mK)), G.pow(rH, l0 // mH))
-            k0 = _order_mod(G, P, z)
+            a, b = l0 // mK, l0 // mH
+            z = G.mul(G.pow(rK, -a), G.pow(rH, b))
+            k0 = _order_mod(G, {p: G.mul(*r) for p, r in P.items()}, z)
             if k0 is not None:
-                kappa, eta = P.split(G.pow(z, k0))
-                w = G.mul(G.pow(rK, k0 * (l0 // mK)), kappa)
-                alt = G.mul(G.pow(rH, k0 * (l0 // mH)), G.inv(eta))
-                assert w == alt, "witness factorization mismatch"
+                kpow, hpow = G.pow(rK, k0 * a), G.pow(rH, k0 * b)
+                kappa, eta = pairs.split(P, G.mul(G.inv(kpow), hpow))
+                w = G.mul(kpow, kappa)
+                alt = G.mul(hpow, G.inv(eta))
+                if w != alt:
+                    raise InternalError("witness factorization mismatch")
                 witnesses.append(w)
         # extend P with the rows at pivot d before moving shallower
+        dirty = []
         if rK is not None:
-            P.insert((rK, IDENTITY))
+            dirty += _insert(pairs, P, (rK, IDENTITY))
         if rH is not None:
-            P.insert((IDENTITY, rH))
-        if rK is not None or rH is not None:
-            P.close()
-    rows = {}
-    for w in witnesses:
-        res = _sift(G, rows, w)
-        if res:
-            _insert(G, rows, res)
-    _close(G, rows)
-    out = PcSubgroup(G, _canonical(G, rows))
-    assert H.contains_subgroup(out) and K.contains_subgroup(out)
+            dirty += _insert(pairs, P, (IDENTITY, rH))
+        _close(pairs, P, dirty)
+    out = _igs(G, witnesses)
+    if not (H.contains_subgroup(out) and K.contains_subgroup(out)):
+        raise InternalError("intersection escapes one of its operands")
     return out
 
 
-def _order_mod(G, P, z):
-    """Least k >= 1 with z^k in P, or None; P normal, so cosets of powers
-    of z are powers of the coset."""
+def _order_mod(G, rows, z):
+    """Least k >= 1 with z^k in the subgroup with the given rows, or None;
+    the subgroup is normal, so cosets of powers of z are powers of the coset."""
     k = 1
-    v = z
+    v = _sift(G, rows, z)
     while v:
         d, e = v[0]
-        row = P.rows.get(d)
+        row = rows.get(d)
         if row is None:
             return None
-        m = P.value(row)[0][1]
-        if e % m == 0:
-            v = G.mul(G.pow(P.value(row), -(e // m)), v)
-        else:
-            t = m // math.gcd(e, m)
-            k *= t
-            v = G.pow(v, t)
+        m = row[0][1]
+        t = m // math.gcd(e, m)
+        k *= t
+        v = _sift(G, rows, G.pow(v, t))
     return k
 
 

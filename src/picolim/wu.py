@@ -14,6 +14,7 @@ nothing about higher classes.
 from functools import reduce
 
 from .abelian import order_in_quotient
+from .errors import InternalError
 from .nilpotent import (
     free_nilpotent,
     intersect_pc,
@@ -132,21 +133,20 @@ def wu_numerator(cfg):
 def wu_group(cfg):
     """Abelian invariants of numerator/denominator at this truncation.
 
-    Asserts the containment of the denominator and the centrality of the
-    numerator modulo the denominator; a centrality failure would mean the
-    computation is wrong, not the configuration.
+    Checks the containment of the denominator and the centrality of the
+    numerator modulo the denominator; a failure of either means the
+    computation is wrong, not the configuration, and raises InternalError.
     """
     G = cfg.group()
     num = cfg.numerator()
     den = cfg.denominator()
     if not num.contains_subgroup(den):
-        raise RuntimeError("denominator escapes the numerator; this is a bug")
+        raise InternalError("denominator escapes the numerator")
     for row in num.igs:
         for g in G.gens():
             if not den.contains(G.comm(row, g)):
-                raise RuntimeError(
-                    "centrality violation for igs row "
-                    f"{G.element_text(row)}; this is a bug"
+                raise InternalError(
+                    f"centrality violation for igs row {G.element_text(row)}"
                 )
     return num.quotient_invariants(den)
 
@@ -241,7 +241,8 @@ def braid_check(c):
         for j in range(i + 1, 3):
             inter = intersect_pc(closures[i], closures[j])
             comm = closures[i].commutator(closures[j])
-            assert inter.contains_subgroup(comm)
+            if not inter.contains_subgroup(comm):
+                raise InternalError(f"[closure {i + 1}, closure {j + 1}] escapes their intersection")
             pairs.append({
                 "pair": [i + 1, j + 1],
                 "equal": inter == comm,

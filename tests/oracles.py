@@ -136,6 +136,178 @@ def subgroup_to_csv(H, path):
             writer.writerow([d] + exponents(G, H.rows[d]))
 
 
+class _Paired:
+    """Reference for intersect_pc: the pair rows with their own sift,
+    insert and a naive closure that re-probes every pair of rows.
+
+    Igs rows for a product K_part * H_part, each row factored as
+    kappa * eta with kappa from K and eta from H, so that members can be
+    split back into their K and H parts."""
+
+    def __init__(self, G):
+        self.G = G
+        self.rows = {}
+
+    def p_mul(self, a, b):
+        G = self.G
+        ka, ea = a
+        kb, eb = b
+        return (G.mul(ka, G.conj(kb, ea)), G.mul(ea, eb))
+
+    def p_inv(self, a):
+        G = self.G
+        k, e = a
+        ei = G.inv(e)
+        return (G.conj(G.inv(k), ei), ei)
+
+    def p_pow(self, a, n):
+        if n < 0:
+            a, n = self.p_inv(a), -n
+        out = (IDENTITY, IDENTITY)
+        while n:
+            if n & 1:
+                out = self.p_mul(out, a)
+            n >>= 1
+            if n:
+                a = self.p_mul(a, a)
+        return out
+
+    def value(self, a):
+        return self.G.mul(a[0], a[1])
+
+    def sift(self, pair):
+        """Reduce; returns (residual pair, residual value)."""
+        G = self.G
+        v = self.value(pair)
+        while v:
+            d, e = v[0]
+            row = self.rows.get(d)
+            if row is None:
+                return pair, v
+            m = self.value(row)[0][1]
+            if e % m:
+                return pair, v
+            pair = self.p_mul(self.p_pow(row, -(e // m)), pair)
+            v = self.value(pair)
+        return pair, IDENTITY
+
+    def split(self, w):
+        """kappa, eta with w = kappa * eta; w must sift to the identity."""
+        G = self.G
+        acc = (IDENTITY, IDENTITY)
+        v = w
+        while v:
+            d, e = v[0]
+            row = self.rows.get(d)
+            if row is None or e % self.value(row)[0][1]:
+                raise ValueError("element is not in the tracked product")
+            q = e // self.value(row)[0][1]
+            acc = self.p_mul(acc, self.p_pow(row, q))
+            v = G.mul(G.pow(self.value(row), -q), v)
+        return acc
+
+    def insert(self, pair):
+        G = self.G
+        pending = [pair]
+        while pending:
+            pair = pending.pop()
+            pair, v = self.sift(pair)
+            while v:
+                d, e = v[0]
+                row = self.rows.get(d)
+                if row is None:
+                    if e < 0:
+                        pair = self.p_inv(pair)
+                    self.rows[d] = pair
+                    break
+                m = self.value(row)[0][1]
+                g = gcd(m, e)
+                x, y = _bezout(m, e, g)
+                new = self.p_mul(self.p_pow(row, x), self.p_pow(pair, y))
+                self.rows[d] = new
+                pending.append(self.p_mul(self.p_pow(new, -(m // g)), row))
+                pair = self.p_mul(self.p_pow(new, -(e // g)), pair)
+                pair, v = self.sift(pair)
+
+    def close(self):
+        changed = True
+        while changed:
+            changed = False
+            rowlist = [self.rows[d] for d in sorted(self.rows)]
+            probes = [self.p_inv(a) for a in rowlist]
+            probes += [self.p_mul(a, b) for a in rowlist for b in rowlist]
+            for p in probes:
+                _, v = self.sift(p)
+                if v:
+                    self.insert(p)
+                    changed = True
+
+
+def intersect_pc_paired(H, K):
+    """Reference for intersect_pc, closing all pair rows after every pivot.
+
+    Intersection of two normal subgroups, built pivot by pivot.
+
+    Descending through the basis, P holds the product of the parts of K
+    and H supported strictly below the current pivot.  A pivot d lies in
+    H cap K iff some power of z = rK^-(l/mK) * rH^(l/mH) (l = lcm of the
+    leading exponents) falls into P; the pair tracking on P then splits
+    that power into kappa * eta and rK^(k l/mK) * kappa = rH^(k l/mH) * eta^-1
+    is the witness row.
+    """
+    assert H.parent is K.parent
+    G = H.parent
+    for name, sub in (("first", H), ("second", K)):
+        if not sub.is_normal():
+            raise ValueError(f"intersection needs normal subgroups; the {name} one is not")
+    P = _Paired(G)
+    witnesses = []
+    for d in range(G.basis.size - 1, -1, -1):
+        rH = H.rows.get(d)
+        rK = K.rows.get(d)
+        if rH is not None and rK is not None:
+            mH, mK = rH[0][1], rK[0][1]
+            l0 = mH * mK // gcd(mH, mK)
+            z = G.mul(G.pow(rK, -(l0 // mK)), G.pow(rH, l0 // mH))
+            k0 = _order_mod_paired(G, P, z)
+            if k0 is not None:
+                kappa, eta = P.split(G.pow(z, k0))
+                w = G.mul(G.pow(rK, k0 * (l0 // mK)), kappa)
+                alt = G.mul(G.pow(rH, k0 * (l0 // mH)), G.inv(eta))
+                assert w == alt, "witness factorization mismatch"
+                witnesses.append(w)
+        # extend P with the rows at pivot d before moving shallower
+        if rK is not None:
+            P.insert((rK, IDENTITY))
+        if rH is not None:
+            P.insert((IDENTITY, rH))
+        if rK is not None or rH is not None:
+            P.close()
+    out = subgroup(G, witnesses)
+    assert H.contains_subgroup(out) and K.contains_subgroup(out)
+    return out
+
+
+def _order_mod_paired(G, P, z):
+    """Least k >= 1 with z^k in P, or None; P normal, so cosets of powers
+    of z are powers of the coset."""
+    k = 1
+    v = z
+    while v:
+        d, e = v[0]
+        row = P.rows.get(d)
+        if row is None:
+            return None
+        m = P.value(row)[0][1]
+        if e % m == 0:
+            v = G.mul(G.pow(P.value(row), -(e // m)), v)
+        else:
+            t = m // gcd(e, m)
+            k *= t
+            v = G.pow(v, t)
+    return k
+
+
 # -- coset tables --------------------------------------------------------------
 
 

@@ -147,6 +147,15 @@ def test_h3check_identity_relator(capsys):
     assert payload["inputs"]["r"] == "x^0"
 
 
+@pytest.mark.parametrize("names", ["x,x", "x,y,x"])
+def test_h3check_duplicate_names_rejected(capsys, names):
+    code, _, err = _run(
+        capsys, "h3check", "--r", "x", "--s", "x", "--class", "3", "--names", names,
+    )
+    assert code == 1
+    assert "duplicate generator name 'x'" in err
+
+
 def test_tensor_verb(capsys):
     code, payload, _ = _run_json(
         capsys, "tensor", "--group", "catalog:C2", "--subgroups", "full,full",

@@ -1,4 +1,4 @@
-"""Internal checks of abelian, coset and tensor still fire under python -O."""
+"""Internal checks of every module that holds one still fire under python -O."""
 
 import os
 import subprocess
@@ -54,6 +54,72 @@ except InternalError as exc:
     print("InternalError:", exc)
 """
 
+_NILPOTENT = """
+import picolim.nilpotent as nilpotent
+
+nilpotent.PcSubgroup.contains_subgroup = lambda self, other: False
+G = nilpotent.free_nilpotent(2, 2)
+H = nilpotent.normal_closure_pc(G, [G.gen(0)])
+try:
+    nilpotent.intersect_pc(H, G.full_subgroup())
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+_MAGNUS = """
+from picolim.magnus import TruncatedAlgebra
+
+try:
+    TruncatedAlgebra(2, 2).inv({(): 2})
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+_HALL = """
+import picolim.hall as hall
+
+hall.witt_number = lambda r, w: 1
+try:
+    hall.HallBasis(2, 3)
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+_COLIMIT = """
+import picolim.finite as finite
+from picolim.catalog import catalog_group
+from picolim.colimit import NormalTuple, pi_n_colimit
+
+finite.FinSubgroup.contains_subgroup = lambda self, other: False
+s3 = catalog_group("S3")
+try:
+    pi_n_colimit(NormalTuple(s3, (s3.derived_subgroup(), s3.full_subgroup())))
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+_WU = """
+from picolim.wu import WuConfiguration, wu_group
+
+cfg = WuConfiguration(2, 3)
+cfg._num = cfg.group().trivial_subgroup()
+try:
+    wu_group(cfg)
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
+_CATALOG = """
+import picolim.catalog as catalog
+
+order, text, subgroups = catalog._registry["S3"]
+catalog._registry["S3"] = (order + 1, text, subgroups)
+try:
+    catalog.catalog_group("S3")
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
 
 @pytest.mark.parametrize(
     "script,message",
@@ -61,8 +127,14 @@ except InternalError as exc:
         (_ABELIAN, "order found over Q is not an order in the lattice"),
         (_COSET, "relator does not stabilize the cosets"),
         (_TENSOR, "direct kernel Z/2 differs from Schreier rewriting Z x Z/2"),
+        (_NILPOTENT, "intersection escapes one of its operands"),
+        (_MAGNUS, "inverse needs constant term 1"),
+        (_HALL, "Lyndon word counts disagree with Witt numbers"),
+        (_COLIMIT, "denominator must lie in the numerator"),
+        (_WU, "denominator escapes the numerator"),
+        (_CATALOG, "catalog group S3 realized with order 6, expected 7"),
     ],
-    ids=["abelian", "coset", "tensor"],
+    ids=["abelian", "coset", "tensor", "nilpotent", "magnus", "hall", "colimit", "wu", "catalog"],
 )
 def test_internal_check_fires_under_optimize(script, message):
     env = dict(os.environ, PYTHONPATH=SRC)
