@@ -3,7 +3,7 @@
 Two strategies share one table and one coincidence routine:
 
   - "hlt": relator-driven scanning with filling, plus a deterministic
-    lookahead pass every `lookahead_interval` definitions (scan without
+    lookahead pass every LOOKAHEAD_INTERVAL definitions (scan without
     definitions to collapse the table before continuing);
   - "felsch": definition-driven, closing all consequences of each new table
     entry through a deduction stack before defining the next coset.
@@ -20,6 +20,7 @@ from collections import deque
 from .errors import InternalError
 
 EMPTY = -1
+LOOKAHEAD_INTERVAL = 100_000
 
 
 class _LimitHit(Exception):
@@ -187,10 +188,10 @@ class _Enumeration:
                 if self.p[gamma] != gamma:
                     break
 
-    def run_hlt(self, lookahead_interval):
+    def run_hlt(self):
         for w in self.subgroup:
             self.scan(0, w, fill=True)
-        next_look = lookahead_interval
+        next_look = LOOKAHEAD_INTERVAL
         alpha = 0
         while alpha < len(self.p):
             if self.p[alpha] != alpha:
@@ -198,7 +199,7 @@ class _Enumeration:
                 continue
             if self.defined >= next_look:
                 self.lookahead()
-                next_look += lookahead_interval
+                next_look += LOOKAHEAD_INTERVAL
                 if self.p[alpha] != alpha:
                     alpha += 1
                     continue
@@ -300,7 +301,6 @@ def todd_coxeter(
     subgroup=(),
     limit=1_000_000,
     strategy="hlt",
-    lookahead_interval=100_000,
 ):
     """Enumerate cosets of <subgroup> in the presented group.
 
@@ -317,7 +317,7 @@ def todd_coxeter(
     enum = _Enumeration(nc, relators, subgroup_cols, limit)
     try:
         if strategy == "hlt":
-            enum.run_hlt(lookahead_interval)
+            enum.run_hlt()
         else:
             enum.run_felsch(_deduction_relators(relators, nc))
     except _LimitHit:

@@ -5,11 +5,14 @@ Grammar (whitespace insignificant, newlines allowed anywhere):
     presentation := 'gens' ':' name (',' name)* '|' 'rels' ':' [word (',' word)*]
     word         := term ('*' term)* | '[' word ',' word ']'
     term         := name ('^' int)?
+    name, int    := [A-Za-z][A-Za-z0-9_]*, -?[0-9]+  (ASCII only)
 
 A bracket [w1, w2] parses to the commutator w1 w2 w1^-1 w2^-1.  Relators
 are stored as column tuples (see Presentation).  Rendering always emits the
 flat product form; parse(render(p)) == p.
 """
+
+import re
 
 from .errors import ParseError
 from .words import Word, commutator, render_word, valid_generator_name
@@ -79,6 +82,11 @@ class Presentation:
         return f"Presentation({self.render()!r})"
 
 
+# str.isalpha and str.isdigit would admit the letters and digits of any script
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT = re.compile(r"-[0-9]*|[0-9]+")
+
+
 class _Lexer:
     SYMBOLS = "|:,*^[]"
 
@@ -111,21 +119,14 @@ class _Lexer:
             if ch in self.SYMBOLS:
                 self.tokens.append((ch, ch, start))
                 self._advance(1)
-            elif ch.isalpha():
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[self.pos : j], start))
-                self._advance(j - self.pos)
-            elif ch.isdigit() or ch == "-":
-                j = self.pos + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                lit = text[self.pos : j]
-                if lit == "-":
+            elif m := _NAME.match(text, self.pos):
+                self.tokens.append(("name", m.group(), start))
+                self._advance(m.end() - self.pos)
+            elif m := _INT.match(text, self.pos):
+                if m.group() == "-":
                     raise ParseError("dangling minus sign", start[0], start[1])
-                self.tokens.append(("int", int(lit), start))
-                self._advance(j - self.pos)
+                self.tokens.append(("int", int(m.group()), start))
+                self._advance(m.end() - self.pos)
             else:
                 raise ParseError(f"unexpected character {ch!r}", start[0], start[1])
         self.tokens.append(("end", None, (self.line, self.col)))

@@ -11,7 +11,7 @@ nontrivial element found here is genuine, while collapse at class c proves
 nothing about higher classes.
 """
 
-from functools import reduce
+from functools import cached_property, reduce
 
 from .abelian import order_in_quotient
 from .errors import InternalError
@@ -47,19 +47,17 @@ class WuConfiguration:
             self._group = free_nilpotent(self.n, self.class_bound, names=self.names)
         return self._group
 
-    def y_minus1_word(self):
-        return Word(tuple((nm, 1) for nm in self.names)).inverse()
-
-    def y_minus1(self):
+    @cached_property
+    def letters(self):
+        """[y_-1, y0, ..., y_{n-1}] as elements; y_-1 = (y0 ... y_{n-1})^-1."""
         G = self.group()
-        return G.collect(self.y_minus1_word())
+        return [G.inv(reduce(G.mul, G.gens()))] + G.gens()
 
     def signed_letters(self):
         """(coverage bit, element) for y_-1, y0, ..., both signs."""
         G = self.group()
-        base = [self.y_minus1()] + [G.collect(Word.gen(nm)) for nm in self.names]
         out = []
-        for i, elt in enumerate(base):
+        for i, elt in enumerate(self.letters):
             out.append((1 << i, elt))
             out.append((1 << i, G.inv(elt)))
         return out
@@ -67,8 +65,7 @@ class WuConfiguration:
     def closures(self):
         if self._closures is None:
             G = self.group()
-            seeds = [self.y_minus1()] + [G.collect(Word.gen(nm)) for nm in self.names]
-            self._closures = tuple(normal_closure_pc(G, [s]) for s in seeds)
+            self._closures = tuple(normal_closure_pc(G, [y]) for y in self.letters)
         return self._closures
 
     def denominator(self):
@@ -82,7 +79,7 @@ class WuConfiguration:
         return self._num
 
 
-def _denominator_generators(cfg, max_length=None):
+def _denominator_generators(cfg):
     """Distinct nontrivial left-normed commutators over covering tuples.
 
     Returns (generators, stats).  A subtree is abandoned once the partial
@@ -92,13 +89,12 @@ def _denominator_generators(cfg, max_length=None):
     G = cfg.group()
     signed = cfg.signed_letters()
     full = (1 << (cfg.n + 1)) - 1
-    limit = cfg.class_bound if max_length is None else max_length
     gens = []
     seen = set()
     stats = {"nodes": 0, "covering_nontrivial": 0}
 
     def extend(acc, cover, depth):
-        if depth >= limit:
+        if depth >= cfg.class_bound:
             return
         for bit, elt in signed:
             stats["nodes"] += 1
@@ -118,9 +114,9 @@ def _denominator_generators(cfg, max_length=None):
     return gens, stats
 
 
-def wu_denominator(cfg, max_length=None):
+def wu_denominator(cfg):
     """Normal closure of the covering left-normed commutators."""
-    gens, stats = _denominator_generators(cfg, max_length=max_length)
+    gens, stats = _denominator_generators(cfg)
     cfg._den_stats = dict(stats, distinct_generators=len(gens))
     return normal_closure_pc(cfg.group(), gens)
 

@@ -136,6 +136,15 @@ def subgroup_to_csv(H, path):
             writer.writerow([d] + exponents(G, H.rows[d]))
 
 
+def is_normal_two_sided(S):
+    """Normality of a pc subgroup by conjugating each igs row by every
+    generator and by its inverse."""
+    G = S.parent
+    return all(
+        S.contains(G.conj(r, h)) for r in S.igs for g in G.gens() for h in (g, G.inv(g))
+    )
+
+
 class _Paired:
     """Reference for intersect_pc: the pair rows with their own sift,
     insert and a naive closure that re-probes every pair of rows.
@@ -251,14 +260,15 @@ def intersect_pc_paired(H, K):
     Descending through the basis, P holds the product of the parts of K
     and H supported strictly below the current pivot.  A pivot d lies in
     H cap K iff some power of z = rK^-(l/mK) * rH^(l/mH) (l = lcm of the
-    leading exponents) falls into P; the pair tracking on P then splits
-    that power into kappa * eta and rK^(k l/mK) * kappa = rH^(k l/mH) * eta^-1
-    is the witness row.
+    leading exponents) falls into P; for the least such k the pair
+    tracking on P splits z_k = rK^-(k l/mK) * rH^(k l/mH) into
+    kappa * eta, and rK^(k l/mK) * kappa = rH^(k l/mH) * eta^-1 is the
+    witness row.
     """
     assert H.parent is K.parent
     G = H.parent
     for name, sub in (("first", H), ("second", K)):
-        if not sub.is_normal():
+        if not is_normal_two_sided(sub):
             raise ValueError(f"intersection needs normal subgroups; the {name} one is not")
     P = _Paired(G)
     witnesses = []
@@ -271,9 +281,12 @@ def intersect_pc_paired(H, K):
             z = G.mul(G.pow(rK, -(l0 // mK)), G.pow(rH, l0 // mH))
             k0 = _order_mod_paired(G, P, z)
             if k0 is not None:
-                kappa, eta = P.split(G.pow(z, k0))
-                w = G.mul(G.pow(rK, k0 * (l0 // mK)), kappa)
-                alt = G.mul(G.pow(rH, k0 * (l0 // mH)), G.inv(eta))
+                # split z_k = rK^-(k a) rH^(k b), which is z^k only modulo P
+                kpow = G.pow(rK, k0 * (l0 // mK))
+                hpow = G.pow(rH, k0 * (l0 // mH))
+                kappa, eta = P.split(G.mul(G.inv(kpow), hpow))
+                w = G.mul(kpow, kappa)
+                alt = G.mul(hpow, G.inv(eta))
                 assert w == alt, "witness factorization mismatch"
                 witnesses.append(w)
         # extend P with the rows at pivot d before moving shallower

@@ -96,6 +96,14 @@ def test_inline_group(capsys):
     assert payload["invariants"] == {"free_rank": 0, "torsion": [6]}
 
 
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    # an Arabic-Indic three once read as a^3
+    code, _, err = _run(capsys, "pi", "--n", "1", "--group", "gens: a | rels: a^٣",
+                        "--subgroups", "full")
+    assert code == 1
+    assert "parse error: unexpected character '٣' (line 1, column 19)" in err
+
+
 def test_group_from_file(tmp_path, capsys):
     path = tmp_path / "c4.dsl"
     path.write_text("gens: a | rels: a^4\n")

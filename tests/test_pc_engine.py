@@ -1,6 +1,7 @@
 """The pc engine: generator names, and intersect_pc against the reference
 that keeps its own pair sift, insert and naive closure
-(oracles.intersect_pc_paired) and against subgroup indices."""
+(oracles.intersect_pc_paired) and against subgroup indices, and is_normal
+against a check that also conjugates by inverse generators."""
 
 import itertools
 import math
@@ -8,8 +9,8 @@ import random
 
 import pytest
 
-from oracles import intersect_pc_paired
-from picolim.nilpotent import free_nilpotent, intersect_pc, normal_closure_pc
+from oracles import intersect_pc_paired, is_normal_two_sided
+from picolim.nilpotent import free_nilpotent, intersect_pc, normal_closure_pc, subgroup
 from picolim.words import Word
 from picolim.wu import WuConfiguration
 
@@ -49,13 +50,12 @@ def _index(S):
     return math.prod(r[0][1] for r in S.igs)
 
 
-@pytest.mark.parametrize("rank,cls", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("rank,cls", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
 def test_finite_index_intersections(rank, cls):
     # intersect_pc checks that its result lies in both operands, so the
     # index [G : H cap K] = [G : H][G : K] / [G : HK] pins it down.  Some
     # pivots here need a power k > 1 of rK^-a rH^b to fall into the product
-    # below them; the reference stops on them with "witness factorization
-    # mismatch".
+    # below them.
     G = free_nilpotent(rank, cls)
     rng = random.Random(10 * rank + cls)
 
@@ -65,9 +65,24 @@ def test_finite_index_intersections(rank, cls):
 
     for _ in range(10):
         H, K = closure(), closure()
+        _assert_matches_reference(H, K)
         for a, b in ((H, K), (K, H)):
             got = intersect_pc(a, b)
             assert _index(got) * _index(H.product(K)) == _index(H) * _index(K)
+
+
+@pytest.mark.parametrize("rank,cls", [(2, 4), (3, 3)])
+def test_is_normal_matches_two_sided_check(rank, cls):
+    G = free_nilpotent(rank, cls)
+    rng = random.Random(1000 + 10 * rank + cls)
+    verdicts = set()
+    for _ in range(12):
+        gens = [_random_element(G, rng) for _ in range(rng.randint(1, 3))]
+        for S in (subgroup(G, gens), normal_closure_pc(G, gens[:1])):
+            normal = S.is_normal()
+            verdicts.add(normal)
+            assert normal == is_normal_two_sided(S)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("n,cls", [(2, 4), (3, 4)])

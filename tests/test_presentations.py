@@ -110,3 +110,17 @@ def test_unknown_relator_generator_position():
     with pytest.raises(ParseError) as info:
         parse_presentation("gens: a,b |\nrels: a^2, q")
     assert (info.value.line, info.value.column) == (2, 12)
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("gens: a | rels: a^²", 19),  # superscript two: isdigit, not int()
+        ("gens: é | rels: é^2", 7),  # e acute: isalpha, not a Word name
+        ("gens: a | rels: a^٣", 19),  # Arabic-Indic three: int() reads 3
+    ],
+)
+def test_non_ascii_rejected_with_position(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)

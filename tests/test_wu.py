@@ -11,7 +11,6 @@ from picolim.wu import (
     braid_check,
     check_equality_13,
     membership_check,
-    wu_denominator,
     wu_group,
     wu_report,
 )
@@ -28,7 +27,7 @@ def test_extra_letter_closes_the_product():
     cfg = WuConfiguration(2, 3)
     G = cfg.group()
     prod = G.collect(Word.gen("y0") * Word.gen("y1"))
-    assert G.mul(prod, cfg.y_minus1()) == ()
+    assert G.mul(prod, cfg.letters[0]) == ()
 
 
 def test_signed_letters():
@@ -86,22 +85,25 @@ def test_membership_outside_numerator():
     assert "not in the numerator" in out["note"]
 
 
+def _covering_commutators(length):
+    """Left-normed commutators, as words, of the tuples of `length` signed
+    letters y_-1 = (y0 y1)^-1, y0, y1 in which every letter occurs."""
+    letters = [(Word.gen("y0") * Word.gen("y1")).inverse(), Word.gen("y0"), Word.gen("y1")]
+    signed = [(i, (w, e)) for i, w in enumerate(letters) for e in (1, -1)]
+    for combo in itertools.product(signed, repeat=length):
+        if len({i for i, _ in combo}) == 3:
+            yield left_normed_commutator([entry for _, entry in combo])
+
+
 def _oracle_denominator(cfg):
     """Independent route: enumerate covering tuples as words, not elements."""
     G = cfg.group()
-    letters = [(1, cfg.y_minus1_word()), (2, Word.gen("y0")), (4, Word.gen("y1"))]
-    signed = [(bit, w, e) for bit, w in letters for e in (1, -1)]
-    full = 7
     gens = []
     for length in range(2, cfg.class_bound + 1):
-        for combo in itertools.product(signed, repeat=length):
-            if len({bit for bit, _, _ in combo}) != 3:
-                continue
-            word = left_normed_commutator([(w, e) for _, w, e in combo])
+        for word in _covering_commutators(length):
             u = G.collect(word)
             if u:
                 gens.append(u)
-    assert full == (1 << (cfg.n + 1)) - 1
     return normal_closure_pc(G, gens)
 
 
@@ -111,10 +113,12 @@ def test_denominator_matches_word_level_oracle():
 
 
 def test_longer_tuples_vanish_in_truncation():
+    # so the denominator search may stop at tuples of length c
     cfg = WuConfiguration(2, 3)
-    capped = cfg.denominator()
-    extended = wu_denominator(cfg, max_length=cfg.class_bound + 1)
-    assert capped == extended
+    G = cfg.group()
+    words = list(_covering_commutators(cfg.class_bound + 1))
+    assert len(words) == 6**4 - 3 * 4**4 + 3 * 2**4
+    assert all(G.collect(w) == () for w in words)
 
 
 def test_denominator_projects_across_classes():
