@@ -1,8 +1,6 @@
 """Print the first few nested-bracket generator candidates and test their
 membership in the truncated quotients where they are expected to matter."""
 
-import sys
-
 from picolim.words import hopf_element, hopf_element_brackets, render_word
 from picolim.wu import WuConfiguration, membership_check
 
@@ -17,12 +15,9 @@ for n, c in ((2, 3), (2, 4)):
     print(f"(n={n}, c={c}) {render_word(h)}: in numerator {out['in_numerator']}, "
           f"in denominator {out['in_denominator']}, order {out['order_in_quotient']}")
 
-if "--deep" in sys.argv:
-    cfg = WuConfiguration(3, 5)
-    h = hopf_element(2)
-    for label, w in (("h(2)", h), ("h(2)^2", h * h)):
-        out = membership_check(w, cfg)
-        print(f"(n=3, c=5) {label}: in numerator {out['in_numerator']}, "
-              f"in denominator {out['in_denominator']}, order {out['order_in_quotient']}")
-else:
-    print("(pass --deep for the n=3 class-5 torsion checks, about 30s)")
+cfg = WuConfiguration(3, 5)
+h = hopf_element(2)
+for label, w in (("h(2)", h), ("h(2)^2", h * h)):
+    out = membership_check(w, cfg)
+    print(f"(n=3, c=5) {label}: in numerator {out['in_numerator']}, "
+          f"in denominator {out['in_denominator']}, order {out['order_in_quotient']}")

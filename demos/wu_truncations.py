@@ -3,19 +3,14 @@ print what stabilizes.
 
 Each row is a lower-central truncation, so the reported group is a
 quotient of the untruncated one; stability across classes is evidence,
-not proof.  The n=3 rows take about half a minute.
+not proof.
 """
 
-import sys
 import time
 
 from picolim.wu import WuConfiguration, wu_report
 
-plan = [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5)]
-if "--deep" in sys.argv:
-    plan += [(3, 4), (3, 5)]
-else:
-    print("(pass --deep to include the n=3 rows)")
+plan = [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
 
 for n, c in plan:
     t0 = time.time()

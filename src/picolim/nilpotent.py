@@ -2,13 +2,19 @@
 
 Elements are kept in normal form a_1^{e_1}...a_m^{e_m}, stored sparsely as
 tuples of (basis index, nonzero exponent) with strictly increasing indices.
-Multiplication collects from the left: a trailing generator power moves
-past higher-index powers by rewriting a_k^g a_j^f = a_j^f (a_j^-f a_k a_j^f)^g,
-and the conjugates a_j^-f a_k a_j^f are looked up from a memoized table
-whose entries are computed once in the truncated power-series embedding
-x_i -> 1 + X_i.  Exponent extraction from a series is exact because the
-expansion of a Lyndon bracketing is unitriangular: its lex-least monomial
-of lowest degree is the Lyndon word itself, with coefficient 1.
+Multiplication collects from the left (M. Vaughan-Lee, Collection from the
+left, J. Symbolic Comput. 9 (1990)) in place: the left factor is spread
+into a dense exponent list and each syllable a_j^f of the right factor is
+pushed into it.  A push lifts out the entries past j that do not commute
+with a_j, adds f at j, and pushes the lifted entries back as
+a_k^g a_j^f = a_j^f (a_j^-f a_k a_j^f)^g.  The conjugates a_j^-f a_k a_j^f
+come from a memoized table whose entries are computed once in the
+truncated power-series embedding x_i -> 1 + X_i.  Exponent extraction from
+a series is exact because the expansion of a Lyndon bracketing is
+unitriangular: its lex-least monomial of lowest degree is the Lyndon word
+itself, with coefficient 1.  Products, inverses, commutators and
+conjugates each collect into one dense list, and results are packed back
+into tuples whose pairs are shared through one table on the group.
 
 Subgroups carry an induced generating sequence (igs): one row per leading
 basis index, leading exponents positive, rows Hermite-reduced above later
@@ -24,6 +30,8 @@ closure; the pair rows of an intersection need none.
 """
 
 import math
+from bisect import bisect_right
+from itertools import compress
 
 from .abelian import AbelianInvariants, _bezout
 from .errors import InternalError
@@ -32,6 +40,14 @@ from .magnus import TruncatedAlgebra
 from .words import valid_generator_name
 
 IDENTITY = ()
+
+
+class _Interned(dict):
+    """One shared object per key: d[k] is the first key equal to k."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
 
 
 class PcGroup:
@@ -56,7 +72,11 @@ class PcGroup:
         self._series = {}
         self._conj = {}
         self._pow_cache = {}
-        self._wt = self.basis.weights
+        self._lifted = {}
+        self._pairs = _Interned()
+        self._wt = wt = basis.weights
+        # first basis index of weight > w, for w = 0 .. cls
+        self._stop = [bisect_right(wt, w) for w in range(self.cls + 1)]
 
     # -- elements ----------------------------------------------------------
 
@@ -76,35 +96,63 @@ class PcGroup:
         return u[0] if u else None
 
     def mul(self, u, v):
-        for j, f in v:
-            u = self._mul_gen(u, j, f)
-        return u
-
-    def _mul_gen(self, u, j, f):
-        """Normal form of u * a_j^f."""
-        if f == 0:
+        if not u:
+            return v
+        if not v:
             return u
-        out = list(u)
-        tail = []
-        while out and out[-1][0] > j:
-            tail.append(out.pop())
-        if out and out[-1][0] == j:
-            e = out[-1][1] + f
-            if e:
-                out[-1] = (j, e)
-            else:
-                out.pop()
-        else:
-            out.append((j, f))
-        res = tuple(out)
-        wt = self._wt
-        wj = wt[j]
-        for k, g in reversed(tail):
-            if wt[k] + wj > self.cls:
-                res = self._mul_gen(res, k, g)
-            else:
-                res = self.mul(res, self.pow(self.conj_pow(k, j, f), g))
-        return res
+        return self._product((u, v))
+
+    def _product(self, factors):
+        """Normal form of the product of the factors, collected in one list."""
+        e = [0] * self.basis.size
+        for i, x in factors[0]:
+            e[i] = x
+        for v in factors[1:]:
+            self._push(e, v)
+        return self._pack(e)
+
+    def _push(self, e, syllables):
+        """e := e * the product of the syllables, in place on the dense
+        exponent list e.
+
+        Pushing a_j^f lifts out and zeroes only the entries k > j with
+        weight(k) <= c - weight(j), which end before _stop[c - weight(j)];
+        it adds f at j and then pushes (a_j^-f a_k a_j^f)^g for each lifted
+        (k, g), in ascending k.  Every other entry past j stays in place.
+        That is sound because the basis is ordered by weight: the indices
+        past j span a subgroup of gamma_{weight(j)}, so an entry t of weight
+        > c - weight(j) commutes with a_j and with everything of weight >=
+        weight(j), which covers every conjugate pushed after it.  So t is
+        central in everything the push still multiplies.
+        """
+        stops, wt, c = self._stop, self._wt, self.cls
+        table = self._lifted
+        stack = list(reversed(syllables))
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            j, f = pop()
+            stop = stops[c - wt[j]]
+            if stop > j + 1 and any(e[j + 1:stop]):
+                moved = []
+                for k in range(j + 1, stop):
+                    g = e[k]
+                    if g:
+                        e[k] = 0
+                        key = (k, j, f, g)
+                        t = table.get(key)
+                        if t is None:
+                            t = table[key] = self.pow(self.conj_pow(k, j, f), g)
+                        moved.append(t)
+                for t in reversed(moved):
+                    extend(reversed(t))
+            e[j] += f
+
+    def _pack(self, e):
+        """Sparse tuple of a dense list, with its pairs interned."""
+        # built through a list so that the tuple is allocated at its final
+        # size; one grown from an iterator keeps a larger block, which
+        # showed as 10 % more peak memory on the Wu workloads
+        return tuple([*map(self._pairs.__getitem__, compress(zip(range(len(e)), e), e))])
 
     def inv(self, u):
         if not u:
@@ -114,10 +162,7 @@ class PcGroup:
         got = self._pow_cache.get((u, -1))
         if got is not None:
             return got
-        res = IDENTITY
-        for i, e in reversed(u):
-            res = self._mul_gen(res, i, -e)
-        self._pow_cache[(u, -1)] = res
+        res = self._pow_cache[(u, -1)] = self._product((IDENTITY, [(i, -x) for i, x in reversed(u)]))
         return res
 
     def pow(self, u, e):
@@ -148,11 +193,11 @@ class PcGroup:
 
     def conj(self, x, g):
         """^g x = g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self._product((g, x, self.inv(g)))
 
     def comm(self, x, y):
         """[x, y] = x y x^-1 y^-1."""
-        return self.mul(self.mul(self.mul(x, y), self.inv(x)), self.inv(y))
+        return self._product((x, y, self.inv(x), self.inv(y)))
 
     def conj_pow(self, k, j, f):
         """Normal form of a_j^-f a_k a_j^f, from the series embedding."""
@@ -201,13 +246,13 @@ class PcGroup:
 
     def collect(self, word):
         """Normal form of a free-group word over the generator names."""
-        u = IDENTITY
-        for name, e in word.syllables:
+        syllables = []
+        for name, f in word.syllables:
             idx = self._name_to_index.get(name)
             if idx is None:
                 raise ValueError(f"unknown generator {name!r}; group has {self.gen_names}")
-            u = self._mul_gen(u, idx, e)
-        return u
+            syllables.append((idx, f))
+        return self._product((IDENTITY, syllables))
 
     def element_text(self, u):
         if not u:
@@ -294,7 +339,9 @@ def _close(G, rows, conjugate_by=()):
     every row in both orders and its conjugates, and again whenever an
     insertion changes its pivot.  When nothing is left to probe, every
     pair of rows has been probed, which is the igs criterion of Sims,
-    Computation with Finitely Presented Groups (1994), ch. 9.
+    Computation with Finitely Presented Groups (1994), ch. 9.  Conjugates
+    by inverses are not needed: g S g^-1 <= S forces equality in a
+    finitely generated nilpotent group.
     """
     dirty = set(rows)
     while dirty:
@@ -308,9 +355,6 @@ def _close(G, rows, conjugate_by=()):
                 probes.append(G.mul(b, a))
         for g in conjugate_by:
             probes.append(G.conj(a, g))
-            # redundant (g N g^-1 <= N forces equality) but faster: ncl(y_-1)
-            # at (3,5) takes 7.0-7.5 s with it, 9.5-11.3 s without (2-core Xeon)
-            probes.append(G.conj(a, G.inv(g)))
         for p in probes:
             dirty.update(_insert(G, rows, p))
 

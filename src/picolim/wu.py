@@ -82,7 +82,12 @@ class WuConfiguration:
 def _denominator_generators(cfg):
     """Distinct nontrivial left-normed commutators over covering tuples.
 
-    Returns (generators, stats).  A subtree is abandoned once the partial
+    Returns (generators, stats), generators shallowest first.  The tuples
+    are searched level by level: the frontier maps each distinct partial
+    commutator to the multiplicities of the letter sets (coverage bits)
+    of the tuples that reach it, so each is extended once per level by
+    each signed letter, while the stats count tuples as a depth-first
+    walk over them would.  A tuple is abandoned once its partial
     commutator collapses, since extending the identity only yields the
     identity again.
     """
@@ -92,25 +97,32 @@ def _denominator_generators(cfg):
     gens = []
     seen = set()
     stats = {"nodes": 0, "covering_nontrivial": 0}
-
-    def extend(acc, cover, depth):
-        if depth >= cfg.class_bound:
-            return
-        for bit, elt in signed:
-            stats["nodes"] += 1
-            nxt = G.comm(acc, elt)
-            if not nxt:
-                continue
-            cov = cover | bit
-            if cov == full:
-                stats["covering_nontrivial"] += 1
-                if nxt not in seen:
-                    seen.add(nxt)
-                    gens.append(nxt)
-            extend(nxt, cov, depth + 1)
-
+    frontier = {}
     for bit, elt in signed:
-        extend(elt, bit, 1)
+        covers = frontier.setdefault(elt, {})
+        covers[bit] = covers.get(bit, 0) + 1
+    for depth in range(1, cfg.class_bound):
+        last = depth + 1 == cfg.class_bound
+        nxt_frontier = {}
+        for acc, covers in frontier.items():
+            tuples = sum(covers.values())
+            for bit, elt in signed:
+                stats["nodes"] += tuples
+                nxt = G.comm(acc, elt)
+                if not nxt:
+                    continue
+                if not last:
+                    nxt_covers = nxt_frontier.setdefault(nxt, {})
+                for cover, m in covers.items():
+                    cov = cover | bit
+                    if cov == full:
+                        stats["covering_nontrivial"] += m
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            gens.append(nxt)
+                    if not last:
+                        nxt_covers[cov] = nxt_covers.get(cov, 0) + m
+        frontier = nxt_frontier
     return gens, stats
 
 

@@ -102,6 +102,71 @@ def project_subgroup(target, H):
     return subgroup(target, [project_element(target, r) for r in H.igs])
 
 
+class RecursiveCollector:
+    """Reference arithmetic for a PcGroup: recursive collection from the left
+    on sparse tuples, sharing only the group's conjugate table (which comes
+    from the series embedding, not from collection).
+
+    A trailing power a_k^g moves past a new syllable a_j^f as
+    a_k^g a_j^f = a_j^f (a_j^-f a_k a_j^f)^g, and the conjugate power is
+    itself collected recursively."""
+
+    def __init__(self, G):
+        self.G = G
+        self._pow = {}
+
+    def mul(self, u, v):
+        for j, f in v:
+            u = self.mul_gen(u, j, f)
+        return u
+
+    def mul_gen(self, u, j, f):
+        """Normal form of u * a_j^f."""
+        if f == 0:
+            return u
+        G = self.G
+        out = list(u)
+        tail = []
+        while out and out[-1][0] > j:
+            tail.append(out.pop())
+        if out and out[-1][0] == j:
+            e = out[-1][1] + f
+            if e:
+                out[-1] = (j, e)
+            else:
+                out.pop()
+        else:
+            out.append((j, f))
+        res = tuple(out)
+        wt = G.basis.weights
+        for k, g in reversed(tail):
+            if wt[k] + wt[j] > G.cls:
+                res = self.mul_gen(res, k, g)
+            else:
+                res = self.mul(res, self.pow(G.conj_pow(k, j, f), g))
+        return res
+
+    def inv(self, u):
+        res = IDENTITY
+        for i, e in reversed(u):
+            res = self.mul_gen(res, i, -e)
+        return res
+
+    def pow(self, u, e):
+        key = (u, e)
+        got = self._pow.get(key)
+        if got is None:
+            base = u if e >= 0 else self.inv(u)
+            got = IDENTITY
+            for _ in range(abs(e)):
+                got = self.mul(got, base)
+            self._pow[key] = got
+        return got
+
+    def comm(self, x, y):
+        return self.mul(self.mul(self.mul(x, y), self.inv(x)), self.inv(y))
+
+
 def consistency_report(G, trials=64, seed=11):
     """Random associativity/inverse checks plus the series-embedding oracle."""
     rng = random.Random(seed)
@@ -109,7 +174,7 @@ def consistency_report(G, trials=64, seed=11):
     def rand_el():
         u = IDENTITY
         for _ in range(rng.randrange(1, 5)):
-            u = G._mul_gen(u, rng.randrange(G.rank), rng.randrange(-3, 4))
+            u = G.mul(u, ((rng.randrange(G.rank), rng.choice((-3, -2, -1, 1, 2, 3))),))
         return u
 
     failures = []
@@ -124,6 +189,39 @@ def consistency_report(G, trials=64, seed=11):
         if lhs != rhs:
             failures.append(("series", u, v))
     return failures
+
+
+def denominator_generators_depth_first(cfg):
+    """Reference for wu._denominator_generators: a depth-first walk that
+    extends every tuple of signed letters separately, abandoning a tuple
+    once its partial commutator collapses.  Returns (generators, stats)
+    with generators in the order the walk first meets them."""
+    G = cfg.group()
+    signed = cfg.signed_letters()
+    full = (1 << (cfg.n + 1)) - 1
+    gens = []
+    seen = set()
+    stats = {"nodes": 0, "covering_nontrivial": 0}
+
+    def extend(acc, cover, depth):
+        if depth >= cfg.class_bound:
+            return
+        for bit, elt in signed:
+            stats["nodes"] += 1
+            nxt = G.comm(acc, elt)
+            if not nxt:
+                continue
+            cov = cover | bit
+            if cov == full:
+                stats["covering_nontrivial"] += 1
+                if nxt not in seen:
+                    seen.add(nxt)
+                    gens.append(nxt)
+            extend(nxt, cov, depth + 1)
+
+    for bit, elt in signed:
+        extend(elt, bit, 1)
+    return gens, stats
 
 
 def subgroup_to_csv(H, path):

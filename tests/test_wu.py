@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import project_subgroup
+from oracles import denominator_generators_depth_first, project_subgroup
 from picolim.abelian import AbelianInvariants
-from picolim.nilpotent import free_nilpotent, normal_closure_pc
+from picolim.nilpotent import PcGroup, free_nilpotent, normal_closure_pc
 from picolim.words import Word, hopf_element, left_normed_commutator
 from picolim.wu import (
     WuConfiguration,
+    _denominator_generators,
     braid_check,
     check_equality_13,
     membership_check,
@@ -110,6 +111,34 @@ def _oracle_denominator(cfg):
 def test_denominator_matches_word_level_oracle():
     cfg = WuConfiguration(2, 3)
     assert cfg.denominator() == _oracle_denominator(cfg)
+
+
+ADMITTED = [(n, c) for n in (1, 2, 3) for c in range(n, 6)] + [(2, 6)]
+
+
+@pytest.mark.parametrize("n,c", ADMITTED)
+def test_level_search_matches_depth_first_walk(n, c):
+    gens, stats = _denominator_generators(WuConfiguration(n, c))
+    ref_gens, ref_stats = denominator_generators_depth_first(WuConfiguration(n, c))
+    assert stats == ref_stats
+    assert len(gens) == len(set(gens))
+    assert set(gens) == set(ref_gens)
+
+
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 9612), (3, 4, 3136)])
+def test_level_search_commutator_count(monkeypatch, n, c, calls):
+    # one commutator per distinct partial commutator, signed letter and level
+    cfg = WuConfiguration(n, c)
+    count = [0]
+    comm = PcGroup.comm
+
+    def counting(self, x, y):
+        count[0] += 1
+        return comm(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "comm", counting)
+    _denominator_generators(cfg)
+    assert count[0] == calls
 
 
 def test_longer_tuples_vanish_in_truncation():
