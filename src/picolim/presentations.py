@@ -82,6 +82,87 @@ class Presentation:
         return f"Presentation({self.render()!r})"
 
 
+def tietze(p):
+    """Tietze reduction of p by its relators of length 1 and 2.
+
+    Each relator is rewritten through the identifications found so far and
+    freely and cyclically reduced.  A single letter x kills its generator.
+    Two letters x y of distinct generators identify x with y^-1 in a
+    union-find whose classes keep their lowest generator; x x stays as a
+    relator.  Passes repeat until one changes nothing.  The relators left
+    are deduplicated up to rotation and inversion, in order of first
+    occurrence, and the surviving generators keep their names and order.
+    These are Tietze moves (Havas, Kenne, Richardson and Robertson, "A
+    Tietze transformation program", 1984), so both presentations define
+    the same group.
+
+    Returns (reduced, image): image[x] is the column of the reduced
+    presentation that original column x equals, or None where its
+    generator dies.  If every generator dies, generator 0 is kept with the
+    relator (0,).
+    """
+    n = len(p.generators)
+    image = list(range(2 * n))  # original column -> root column, None once dead
+    members = [[g] for g in range(n)]  # generators whose class has root g
+
+    def relabel(g, col):
+        """Column 2g of root g now equals col (None: the class dies)."""
+        for h in members[g]:
+            for x in (2 * h, 2 * h + 1):
+                image[x] = None if col is None else col ^ (image[x] & 1)
+        if col is not None:
+            members[col >> 1] += members[g]
+        members[g] = None
+
+    rels = p.relators
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for rel in rels:
+            w = _substitute(rel, image)
+            if len(w) == 1:
+                relabel(w[0] >> 1, None)
+                changed = True
+            elif len(w) == 2 and w[0] >> 1 != w[1] >> 1:
+                low, high = sorted((w[0], w[1] ^ 1))
+                relabel(high >> 1, low ^ (high & 1))
+                changed = True
+            elif w:
+                kept.append(w)
+        rels = kept
+
+    survivors = [g for g in range(n) if members[g] is not None]
+    if not survivors:
+        return Presentation(p.generators[:1], [(0,)]), image
+    first = {}
+    for w in dict.fromkeys(rels):
+        inverse = tuple(x ^ 1 for x in reversed(w))
+        first.setdefault(min(v[i:] + v[:i] for v in (w, inverse) for i in range(len(v))), w)
+    new = {2 * g: 2 * k for k, g in enumerate(survivors)}
+    relators = [tuple(new[x & ~1] | (x & 1) for x in w) for w in first.values()]
+    image = [None if y is None else new[y & ~1] | (y & 1) for y in image]
+    return Presentation([p.generators[g] for g in survivors], relators), image
+
+
+def _substitute(rel, image):
+    """rel through image, freely and cyclically reduced."""
+    out = []
+    for x in rel:
+        y = image[x]
+        if y is None:
+            continue
+        if out and out[-1] == y ^ 1:
+            out.pop()
+        else:
+            out.append(y)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == out[j] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(out[i:j + 1])
+
+
 # str.isalpha and str.isdigit would admit the letters and digits of any script
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT = re.compile(r"-[0-9]*|[0-9]+")

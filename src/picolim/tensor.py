@@ -12,10 +12,12 @@ crossed module under the diagonal conjugation action on symbols.
 Relators are instantiated exhaustively over the finite element ranges as
 column tuples (symbol i is column 2*i, its inverse 2*i+1) and deduplicated
 after free reduction; identity-element symbols are kept and collapse
-through the biadditive family.  kernel_of_boundary enumerates T by coset
-enumeration, rewrites the kernel through a Schreier transversal of the
-boundary image, and cross-checks against a direct realization of T
-whenever the order cap admits one.
+through the biadditive family.  This raw presentation is the
+specification.  kernel_of_boundary enumerates T by coset enumeration of
+its Tietze reduction (presentations.tietze), checks that every raw
+relator holds in the reduced table, rewrites the kernel through a
+Schreier transversal of the boundary image, and cross-checks against a
+direct realization of T whenever the order cap admits one.
 """
 
 from functools import reduce
@@ -25,7 +27,7 @@ from .abelian import AbelianInvariants
 from .coset import coset_table_from_action, schreier_rewrite_matrix, todd_coxeter
 from .errors import BudgetError, InternalError
 from .finite import FiniteGroup, abelian_invariants_of_quotient
-from .presentations import Presentation
+from .presentations import Presentation, tietze
 
 SYMBOL_BUDGET = 100_000
 
@@ -58,6 +60,7 @@ class TensorPresentation:
         self.symbols = list(column)
         self.base = Presentation([s.name for s in self.symbols], relators)
         self.families = families
+        self._reduction = None
 
     @property
     def n(self):
@@ -76,6 +79,12 @@ class TensorPresentation:
         """Diagonal conjugation ^g(a (x) b) = (gag^-1) (x) (gbg^-1)."""
         G = self.ambient
         return self.symbol(sym.A, sym.B, G.conj(g, sym.a), G.conj(g, sym.b))
+
+    def reduction(self):
+        """tietze(self.base), computed once for each base presentation."""
+        if self._reduction is None or self._reduction[0] is not self.base:
+            self._reduction = (self.base, tietze(self.base))
+        return self._reduction[1]
 
     def boundary_steps(self):
         """Boundary image of each generator column, indexed by column."""
@@ -270,33 +279,57 @@ def crossed_module_check(tp):
 def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     """Order and abelian invariants of the kernel of the boundary T -> G.
 
-    The order of T comes from coset enumeration of the presentation; the
-    kernel is rewritten through the Schreier transversal of its cosets
-    (one coset per element of the boundary image).  When T fits under the
-    realization cap the kernel is also built explicitly, its abelianness
-    verified, and the invariants cross-checked; otherwise the result is
-    the kernel's abelianization with the abelianness left unverified.
+    T is enumerated from the Tietze reduction of its presentation; each
+    reduced generator keeps the boundary step of its original column, and
+    every raw relator, read through the reduction, must fix the identity
+    coset of the reduced table.  The order of T comes from coset
+    enumeration; the kernel is rewritten through the Schreier transversal
+    of its cosets (one coset per element of the boundary image).  When T
+    fits under the realization cap the kernel is also built explicitly, its
+    abelianness verified, and the invariants cross-checked; otherwise the
+    result is the kernel's abelianization with the abelianness left
+    unverified.
     """
-    table = todd_coxeter(tp.base, (), limit=limit, strategy=strategy)
+    reduced, image = tp.reduction()
+    table = todd_coxeter(reduced, (), limit=limit, strategy=strategy)
     if table.status != "complete":
         raise BudgetError(
             f"coset enumeration exceeded {limit} rows after {table.defined} definitions"
         )
+    G = tp.ambient
+    raw_steps = tp.boundary_steps()
+    # each reduced column takes the step of the lowest column that maps to
+    # it; nothing maps to a column only when every generator dies
+    steps = [0] * (2 * len(reduced.generators))
+    for x in reversed(range(len(image))):
+        if image[x] is not None:
+            steps[image[x]] = raw_steps[x]
+    for x, y in enumerate(image):
+        if raw_steps[x] != (0 if y is None else steps[y]):
+            raise InternalError(f"column {x} and its Tietze image have different boundary steps")
+    # coset 0 is the identity of T, so a relator holds iff it fixes coset 0
+    cosets = table.rows
+    for rel in tp.base.relators:
+        c = 0
+        for x in rel:
+            if image[x] is not None:
+                c = cosets[c][image[x]]
+        if c:
+            raise InternalError("a raw relator does not hold in the Tietze-reduced table")
+
     t_order = table.n_cosets()
-    image = boundary_image(tp)
-    image_order = image.order()
+    image_group = boundary_image(tp)
+    image_order = image_group.order()
     if t_order % image_order:
         raise InternalError("image order does not divide the order of T")
     kernel_order = t_order // image_order
 
-    G = tp.ambient
-    elt_pos = {e: i for i, e in enumerate(image.members)}
+    elt_pos = {e: i for i, e in enumerate(image_group.members)}
     if elt_pos[0] != 0:
         raise InternalError("the boundary image does not start at the identity")
-    steps = tp.boundary_steps()
-    rows = [[elt_pos[G.mul(e, d)] for d in steps] for e in image.members]
-    pullback = coset_table_from_action(tp.base.generators, rows)
-    mat, ncols = schreier_rewrite_matrix(pullback, tp.base.relators)
+    rows = [[elt_pos[G.mul(e, d)] for d in steps] for e in image_group.members]
+    pullback = coset_table_from_action(reduced.generators, rows)
+    mat, ncols = schreier_rewrite_matrix(pullback, reduced.relators)
     invariants = AbelianInvariants.from_relation_matrix(mat, ncols)
 
     kernel_abelian = None
@@ -308,16 +341,15 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
         T = None
         notes.append("T too large to realize; abelianness of the kernel unverified")
     if T is not None:
-        dval = _boundary_values(tp, table)
+        dval = _boundary_values(G, steps, table)
         members = [j for j in range(T.n) if dval[j] == 0]
         if len(members) != kernel_order:
             raise InternalError("direct kernel order differs from |T| / |image|")
         ker = T.subgroup(members)
         if ker.order() != kernel_order:
             raise InternalError("the kernel's elements do not close to a subgroup of its order")
-        kernel_abelian = all(
-            T.mul(a, b) == T.mul(b, a) for a in ker.members for b in ker.members
-        )
+        # a group is abelian when a generating set commutes pairwise
+        kernel_abelian = all(T.mul(a, b) == T.mul(b, a) for a in ker.gens for b in ker.gens)
         if kernel_abelian:
             direct = abelian_invariants_of_quotient(ker, T.trivial_subgroup())
             if direct != invariants:
@@ -339,10 +371,9 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     }
 
 
-def _boundary_values(tp, table):
-    """Boundary image of every element of T, indexed by coset id."""
-    G = tp.ambient
-    steps = tp.boundary_steps()
+def _boundary_values(G, steps, table):
+    """Boundary image of every element of T, indexed by coset id, from the
+    boundary step of each column of the table."""
     dval = [None] * table.n_cosets()
     dval[0] = 0
     queue = [0]

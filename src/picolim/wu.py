@@ -182,7 +182,10 @@ def wu_report(cfg):
 
 def membership_check(w, cfg):
     """Membership of a word in the truncated numerator and denominator,
-    with its order in the quotient when it lies in the numerator."""
+    with its order in the quotient when it lies in the numerator.  A word
+    that collapses to the identity at this class has order 1 and a note
+    that says so, since the truncation cannot tell whether it dies in the
+    untruncated quotient."""
     G = cfg.group()
     u = G.collect(w)
     den = cfg.denominator()
@@ -191,7 +194,10 @@ def membership_check(w, cfg):
     in_num = num.contains(u)
     order = None
     note = None
-    if in_num:
+    if u == G.identity():
+        order = 1
+        note = f"the word collapses to the identity at class {cfg.class_bound}"
+    elif in_num:
         vec = num.coords_of(u)
         rows = [num.coords_of(r) for r in den.igs]
         order = order_in_quotient(vec, rows, len(num.igs))

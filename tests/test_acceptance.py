@@ -9,7 +9,11 @@ import json
 import random
 import time
 from itertools import permutations, product
+from math import gcd
 
+import pytest
+
+from picolim.abelian import AbelianInvariants
 from picolim.catalog import (
     all_catalog_names_of_order_at_most,
     catalog_group,
@@ -270,3 +274,32 @@ def test_criterion_13_basis_sizes_match_witt():
             ok = ok and free_nilpotent(r, c).basis.size == expected
     _line(13, ok, time.time() - t0, 1.0,
           "basis sizes match the independent divisor-sum oracle for r <= 4, c <= 5")
+
+
+# A (x) A over Z for an abelian A = Z/m_1 x ... x Z/m_k is the sum of
+# Z/gcd(m_i, m_j) over ordered pairs of cyclic factors; for 2-groups the
+# sorted gcds already form a divisibility chain.
+ABELIAN_FACTORS = {"C8": (8,), "C4xC2": (4, 2), "C2xC2xC2": (2, 2, 2)}
+
+
+@pytest.mark.parametrize(
+    "name,n", [("C8", 2), ("C4xC2", 2), ("C2xC2xC2", 2), ("D4", 2), ("Q8", 2), ("S3", 3)]
+)
+def test_criterion_14_order_eight_pairs_and_s3_triple(name, n):
+    t0 = time.time()
+    g = catalog_group(name)
+    tp = build_T(NormalTuple(g, (g.full_subgroup(),) * n))
+    out = kernel_of_boundary(tp, strategy="hlt")
+    ok = out["verified"]
+    detail = f"full {n}-tuple of {name}: |T| = {out['t_order']}, kernel {out['invariants']}"
+    if name in ABELIAN_FACTORS:
+        factors = ABELIAN_FACTORS[name]
+        expected = AbelianInvariants(0, sorted(gcd(a, b) for a in factors for b in factors))
+        ok = ok and out["invariants"] == expected and out["t_order"] == expected.order()
+        detail += ", verified, equal to A (x)_Z A"
+    else:
+        fel = kernel_of_boundary(tp, strategy="felsch")
+        ok = ok and fel["verified"]
+        ok = ok and all(out[key] == fel[key] for key in ("t_order", "kernel_order", "invariants"))
+        detail += ", verified, HLT = Felsch"
+    _line(14, ok, time.time() - t0, 5.0, detail)

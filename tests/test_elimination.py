@@ -9,7 +9,8 @@ from oracles import hermite_reduce_dense, smith_normal_form_dense
 from picolim.abelian import hermite_reduce, smith_normal_form
 from picolim.catalog import catalog_group, groups_of_order_at_most
 from picolim.colimit import NormalTuple
-from picolim.tensor import build_T, kernel_of_boundary
+from picolim.coset import coset_table_from_action, schreier_rewrite_matrix
+from picolim.tensor import boundary_image, build_T, kernel_of_boundary
 
 
 def _random_matrix(rng):
@@ -79,7 +80,18 @@ def _schreier_matrices(monkeypatch, tuples):
     return built
 
 
-def test_schreier_matrices_match_dense(monkeypatch):
+def _raw_schreier_matrix(tp):
+    """Schreier matrix of the kernel from the raw presentation of T, which
+    has every relator instance, so its rows are many and sparse."""
+    G = tp.ambient
+    image = boundary_image(tp)
+    pos = {e: i for i, e in enumerate(image.members)}
+    rows = [[pos[G.mul(e, d)] for d in tp.boundary_steps()] for e in image.members]
+    table = coset_table_from_action(tp.base.generators, rows)
+    return schreier_rewrite_matrix(table, tp.base.relators)
+
+
+def _kernel_tuples():
     tuples = []
     for name in groups_of_order_at_most(4):
         g = catalog_group(name)
@@ -87,7 +99,17 @@ def test_schreier_matrices_match_dense(monkeypatch):
         tuples.extend(NormalTuple(g, (m, n)) for m in normal for n in normal)
     s3 = catalog_group("S3")
     tuples.append(NormalTuple(s3, (s3.full_subgroup(),) * 2))
+    return tuples
+
+
+def test_schreier_matrices_match_dense(monkeypatch):
+    tuples = _kernel_tuples()
     built = _schreier_matrices(monkeypatch, tuples)
     assert len(built) == len(tuples)
     for rows, ncols in built:
         _assert_routes_agree(rows, ncols)
+
+
+def test_raw_schreier_matrices_match_dense():
+    for nt in _kernel_tuples():
+        _assert_routes_agree(*_raw_schreier_matrix(build_T(nt)))

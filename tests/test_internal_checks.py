@@ -54,6 +54,29 @@ except InternalError as exc:
     print("InternalError:", exc)
 """
 
+_TIETZE = """
+import picolim.tensor as tensor
+from picolim.catalog import catalog_group
+from picolim.colimit import NormalTuple
+
+tietze = tensor.tietze
+
+def one_sign_flipped(p):
+    reduced, image = tietze(p)
+    # the first column identified with a lower one now equals its inverse
+    x = next(x for x in range(2, len(image), 2) if image[x] is not None and image[x] in image[:x])
+    image[x] ^= 1
+    image[x + 1] ^= 1
+    return reduced, image
+
+tensor.tietze = one_sign_flipped
+g = catalog_group(GROUP)
+try:
+    tensor.kernel_of_boundary(tensor.build_T(NormalTuple(g, (g.full_subgroup(),) * 2)))
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
 _NILPOTENT = """
 import picolim.nilpotent as nilpotent
 
@@ -127,6 +150,9 @@ except InternalError as exc:
         (_ABELIAN, "order found over Q is not an order in the lattice"),
         (_COSET, "relator does not stabilize the cosets"),
         (_TENSOR, "direct kernel Z/2 differs from Schreier rewriting Z x Z/2"),
+        # C3 has a trivial boundary, so only the raw relators see the flip
+        ('GROUP = "C3"' + _TIETZE, "a raw relator does not hold in the Tietze-reduced table"),
+        ('GROUP = "S3"' + _TIETZE, "column 20 and its Tietze image have different boundary steps"),
         (_NILPOTENT, "intersection escapes one of its operands"),
         (_MAGNUS, "inverse needs constant term 1"),
         (_HALL, "Lyndon word counts disagree with Witt numbers"),
@@ -134,7 +160,10 @@ except InternalError as exc:
         (_WU, "denominator escapes the numerator"),
         (_CATALOG, "catalog group S3 realized with order 6, expected 7"),
     ],
-    ids=["abelian", "coset", "tensor", "nilpotent", "magnus", "hall", "colimit", "wu", "catalog"],
+    ids=[
+        "abelian", "coset", "tensor", "tietze-relators", "tietze-steps", "nilpotent", "magnus",
+        "hall", "colimit", "wu", "catalog",
+    ],
 )
 def test_internal_check_fires_under_optimize(script, message):
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -8,6 +8,7 @@ from picolim.presentations import (
     parse_presentation,
     parse_word,
     parse_words,
+    tietze,
 )
 from picolim.tensor import build_T
 from picolim.words import Word, commutator, render_word
@@ -124,3 +125,57 @@ def test_non_ascii_rejected_with_position(text, column):
     with pytest.raises(ParseError) as info:
         parse_presentation(text)
     assert (info.value.line, info.value.column) == (1, column)
+
+
+def _tietze(text):
+    return tietze(parse_presentation(text))
+
+
+def test_tietze_kills_a_generator_of_a_length_one_relator():
+    reduced, image = _tietze("gens: a,b | rels: a, b^3, a*b*a^-1*b")
+    assert reduced == parse_presentation("gens: b | rels: b^3, b^2")
+    assert image == [None, None, 0, 1]
+
+
+def test_tietze_identifies_x_y_and_x_y_inverse():
+    # a*b makes b = a^-1; b*c^-1 makes c = b = a^-1
+    reduced, image = _tietze("gens: a,b,c | rels: a*b, b*c^-1, c^3")
+    assert reduced == parse_presentation("gens: a | rels: a^-3")
+    assert image == [0, 1, 1, 0, 1, 0]
+
+
+def test_tietze_keeps_x_equal_to_its_inverse_as_a_relator():
+    # a = b^-1 and a = b give a = a^-1, which is the relator a^2
+    reduced, image = _tietze("gens: a,b | rels: a*b, a*b^-1")
+    assert reduced == parse_presentation("gens: a | rels: a^2")
+    assert image == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "text", ["gens: a,b | rels: a, a*b^-1", "gens: a,b | rels: a*b^-1, b", "gens: a,b | rels: b, a"]
+)
+def test_tietze_keeps_generator_zero_when_every_generator_dies(text):
+    reduced, image = _tietze(text)
+    assert reduced == parse_presentation("gens: a | rels: a")
+    assert image == [None] * 4
+
+
+def test_tietze_is_deterministic_and_keeps_the_lowest_column():
+    text = "gens: a,b,c,d | rels: d*b, c*d^-1, a^5, [a,c], [d,a]"
+    reduced, image = _tietze(text)
+    assert reduced.generators == ("a", "b")
+    assert image == [0, 1, 2, 3, 3, 2, 3, 2]
+    assert reduced == parse_presentation("gens: a,b | rels: a^5, [a,b^-1]")
+    assert _tietze(text) == (reduced, image)
+
+
+def test_tietze_deduplicates_up_to_rotation_and_inversion():
+    text = ("gens: a,b | rels: [a,b], b*a^-1*b^-1*a, [b,a], b*a^3*b^-1, a^-3, "
+            "a^-1*b^-1*a*b")
+    reduced, _ = _tietze(text)
+    assert reduced == parse_presentation("gens: a,b | rels: [a,b], a^3")
+
+
+def test_tietze_leaves_a_presentation_without_short_relators_alone():
+    p = parse_presentation("gens: a,b | rels: a^3, b^2, a*b*a*b")
+    assert tietze(p) == (p, [0, 1, 2, 3])

@@ -2,11 +2,12 @@ import pytest
 
 from oracles import one_orientation_presentation
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_subgroup
+from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import NormalTuple
 from picolim.coset import todd_coxeter
 from picolim.errors import BudgetError
 from picolim.nilpotent import free_nilpotent
+from picolim.presentations import Presentation
 from picolim.tensor import (
     TensorSymbol,
     _ordered_partitions,
@@ -139,6 +140,34 @@ def test_one_orientation_same_group():
     small = one_orientation_presentation(tp)
     assert len(small.generators) == len(tp.symbols) // 2
     assert todd_coxeter(small).n_cosets() == kernel_of_boundary(tp)["t_order"]
+
+
+def test_raw_and_reduced_presentations_give_the_same_order():
+    tuples = [_full_tuple("C2", 3), _full_tuple("S3", 2)]
+    for name in groups_of_order_at_most(4):
+        g = catalog_group(name)
+        normal = g.normal_subgroups()
+        tuples.extend(NormalTuple(g, (m, n)) for m in normal for n in normal)
+    for nt in tuples:
+        tp = build_T(nt)
+        reduced, image = tp.reduction()
+        assert len(image) == 2 * len(tp.base.generators)
+        raw_order = todd_coxeter(tp.base).n_cosets()
+        assert todd_coxeter(reduced).n_cosets() == raw_order
+        assert kernel_of_boundary(tp)["t_order"] == raw_order
+
+
+def test_reduction_is_cached_per_base_presentation():
+    tp = build_T(_full_tuple("S3", 2))
+    first = tp.reduction()
+    kernel_of_boundary(tp, strategy="hlt")
+    kernel_of_boundary(tp, strategy="felsch")
+    assert tp.reduction() is first
+    assert len(first[0].generators) < len(tp.base.generators)
+    # build_E replaces the base presentation after build_T
+    tp.base = Presentation(tp.base.generators, tp.base.relators + ((0,),))
+    assert tp.reduction() is not first
+    assert tp.reduction()[1][0] is None
 
 
 def test_relators_reduced_and_unique():

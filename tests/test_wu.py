@@ -5,6 +5,7 @@ import pytest
 from oracles import denominator_generators_depth_first, project_subgroup
 from picolim.abelian import AbelianInvariants
 from picolim.nilpotent import PcGroup, free_nilpotent, normal_closure_pc
+from picolim.presentations import parse_word
 from picolim.words import Word, hopf_element, left_normed_commutator
 from picolim.wu import (
     WuConfiguration,
@@ -76,6 +77,19 @@ def test_membership_of_identity():
     out = membership_check(Word(()), cfg)
     assert out["in_numerator"] and out["in_denominator"]
     assert out["order_in_quotient"] == 1
+    assert "collapses to the identity" in out["note"]
+
+
+def test_membership_of_a_word_that_collapses():
+    # [[[y0,y1],y0],[y0,y1]] has weight 5, so it is the identity at class 3
+    cfg = WuConfiguration(2, 3)
+    w = parse_word("[[[y0,y1],y0],[y0,y1]]")
+    assert w.syllables
+    assert cfg.group().collect(w) == ()
+    out = membership_check(w, cfg)
+    assert out["in_numerator"] and out["in_denominator"]
+    assert out["order_in_quotient"] == 1
+    assert out["note"] == "the word collapses to the identity at class 3"
 
 
 def test_membership_outside_numerator():
