@@ -21,8 +21,9 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
-from .catalog import catalog_group, catalog_names, catalog_subgroup, subgroup_of
+from .catalog import catalog_group, catalog_subgroup, subgroup_of
 from .colimit import (
     NormalTuple,
     h1_GMN,
@@ -37,10 +38,17 @@ from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
 from .presentations import parse_presentation, parse_word
 from .tensor import SYMBOL_BUDGET, build_T, kernel_of_boundary
-from .words import hopf_element, hopf_element_brackets, render_word
+from .words import _hopf, render_word
 from .wu import WuConfiguration, braid_check, membership_check, wu_report
 
 SCHEMA = 1
+
+# exit code, JSON status and standard-error label of each refusal
+_FAILURES = {
+    ConnectivityError: (2, "hypothesis-failed", "hypothesis failed"),
+    BudgetError: (3, "budget-exceeded", "budget exceeded"),
+    InternalError: (4, "internal-error", "internal error"),
+}
 
 
 class CliError(Exception):
@@ -53,52 +61,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coset_limit(args):
-    env = os.environ.get("PICOLIM_COSET_LIMIT")
-    if env is not None:
-        return int(env)
-    return args.limit
+    return _env_int("PICOLIM_COSET_LIMIT", args.limit)
 
 
 def _symbol_budget():
-    env = os.environ.get("PICOLIM_SYMBOL_BUDGET")
-    if env is not None:
-        return int(env)
-    return SYMBOL_BUDGET
+    return _env_int("PICOLIM_SYMBOL_BUDGET", SYMBOL_BUDGET)
 
 
-def _load_group(text, limit):
+def _env_int(name, default):
+    env = os.environ.get(name)
+    return default if env is None else int(env)
+
+
+def _load_tuple(args):
+    """The group named by --group and the subgroups named by --subgroups."""
+    limit = _coset_limit(args)
+    text = args.group
     if text.startswith("catalog:"):
         name = text[len("catalog:"):]
         try:
-            return catalog_group(name), name
+            group = catalog_group(name)
         except KeyError as exc:
             raise CliError(exc.args[0])
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read().strip()
-    if "gens:" not in text:
-        raise CliError(
-            f"group {text!r} is not catalog:NAME, an inline 'gens: ... | rels: ...' "
-            "presentation, or a readable file"
-        )
-    pres = parse_presentation(text)
-    return FiniteGroup.from_presentation(pres, limit=limit), None
-
-
-def _load_subgroups(group, catalog_name, specs):
-    out = []
-    for spec in specs.split(","):
+        subgroup = partial(catalog_subgroup, name)
+    else:
+        if os.path.exists(text):
+            with open(text, encoding="utf-8") as fh:
+                text = fh.read().strip()
+        if "gens:" not in text:
+            raise CliError(
+                f"group {text!r} is not catalog:NAME, an inline 'gens: ... | rels: ...' "
+                "presentation, or a readable file"
+            )
+        group = FiniteGroup.from_presentation(parse_presentation(text), limit=limit)
+        subgroup = partial(subgroup_of, group)
+    subs = []
+    for spec in args.subgroups.split(","):
         spec = spec.strip()
         if not spec:
             raise CliError("empty subgroup spec")
         try:
-            if catalog_name is not None:
-                out.append(catalog_subgroup(catalog_name, spec))
-            else:
-                out.append(subgroup_of(group, spec))
+            subs.append(subgroup(spec))
         except KeyError as exc:
             raise CliError(exc.args[0])
-    return out
+    return group, subs
 
 
 def _parse_cli_word(text):
@@ -106,6 +112,10 @@ def _parse_cli_word(text):
         return parse_word(text)
     except ParseError as exc:
         raise CliError(f"bad word {text!r}: {exc}")
+
+
+def _witness_dict(witness):
+    return None if witness is None else {"I": list(witness[0]), "J": list(witness[1])}
 
 
 def _invariants_dict(inv):
@@ -150,8 +160,7 @@ def _cmd_connectivity(args):
             "verb": "connectivity",
             "searched_order_at_most": args.search_order,
             "violations": [
-                {"group": name, "orders": list(orders),
-                 "witness": {"I": list(w[0]), "J": list(w[1])}}
+                {"group": name, "orders": list(orders), "witness": _witness_dict(w)}
                 for name, orders, w in finds
             ],
             "certified_none": not finds,
@@ -159,22 +168,20 @@ def _cmd_connectivity(args):
         return _emit(args, payload)
     if args.group is None:
         raise CliError("connectivity needs --group and --subgroups, or --search-order")
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     t = NormalTuple(group, subs)
     ok, witness = is_connected_tuple(t)
     payload = {
         "verb": "connectivity",
         "connected": ok,
-        "witness": None if ok else {"I": list(witness[0]), "J": list(witness[1])},
+        "witness": _witness_dict(witness),
         "orders": [s.order() for s in subs],
     }
     return _emit(args, payload)
 
 
 def _cmd_pi(args):
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     if len(subs) != args.n:
         raise CliError(f"--n {args.n} needs exactly {args.n} subgroup specs")
     rep = pi_n_colimit(NormalTuple(group, subs))
@@ -182,8 +189,7 @@ def _cmd_pi(args):
 
 
 def _cmd_pi2(args):
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     if len(subs) != 3:
         raise CliError("pi2 needs exactly three subgroup specs L,M,N")
     rep = pi_2_colimit_n3(*subs)
@@ -191,8 +197,7 @@ def _cmd_pi2(args):
 
 
 def _cmd_h1(args):
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     if len(subs) != 2:
         raise CliError("h1 needs exactly two subgroup specs M,N")
     rep = h1_GMN(group, subs[0], subs[1])
@@ -212,8 +217,7 @@ def _cmd_h3check(args):
 
 
 def _cmd_tensor(args):
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
     payload = {
         "verb": "tensor",
@@ -228,8 +232,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_kernel(args):
-    group, cname = _load_group(args.group, _coset_limit(args))
-    subs = _load_subgroups(group, cname, args.subgroups)
+    group, subs = _load_tuple(args)
     tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
     result = kernel_of_boundary(tp, limit=_coset_limit(args), strategy=args.strategy)
     payload = dict(result, verb="kernel", invariants=_invariants_dict(result["invariants"]))
@@ -248,12 +251,12 @@ def _cmd_wu(args):
 
 
 def _cmd_hopf(args):
-    word = hopf_element(args.k)
+    word, brackets = _hopf(args.k, args.k)
     payload = {
         "verb": "hopf",
         "k": args.k,
         "word": render_word(word),
-        "brackets": hopf_element_brackets(args.k),
+        "brackets": brackets,
         "letters": word.generators(),
     }
     if args.class_bound is not None:
@@ -315,14 +318,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, group=True, subgroups=True, group_required=True):
+    def common(p, limit=True, group=True, group_required=True):
         p.add_argument("--json", action="store_true", help="versioned JSON output")
-        p.add_argument("--limit", type=int, default=1_000_000,
-                       help="coset enumeration limit")
+        if limit:
+            p.add_argument("--limit", type=int, default=1_000_000,
+                           help="coset enumeration limit")
         if group:
             p.add_argument("--group", required=group_required, default=None,
                            help="catalog:NAME, inline DSL, or file path")
-        if subgroups:
             p.add_argument("--subgroups", default="",
                            help="comma-separated subgroup specs")
 
@@ -348,7 +351,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_h1)
 
     p = sub.add_parser("h3check", help="truncated third-homology quotient of a 2-relator group")
-    common(p, group=False, subgroups=False)
+    common(p, limit=False, group=False)
     p.add_argument("--r", required=True, help="first relator word")
     p.add_argument("--s", required=True, help="second relator word")
     p.add_argument("--class", dest="class_bound", type=int, required=True)
@@ -367,7 +370,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_kernel)
 
     p = sub.add_parser("wu", help="truncated sphere formula report")
-    common(p, group=False, subgroups=False)
+    common(p, limit=False, group=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="class_bound", type=int, required=True)
     p.add_argument("--member", default=None,
@@ -375,19 +378,19 @@ def _build_parser():
     p.set_defaults(handler=_cmd_wu)
 
     p = sub.add_parser("hopf", help="iterated commutator representatives")
-    common(p, group=False, subgroups=False)
+    common(p, limit=False, group=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--class", dest="class_bound", type=int, default=None,
                    help="also run the membership check at this class")
     p.set_defaults(handler=_cmd_hopf)
 
     p = sub.add_parser("braid", help="pairwise relator-closure checks for the braid presentation")
-    common(p, group=False, subgroups=False)
+    common(p, limit=False, group=False)
     p.add_argument("--class", dest="class_bound", type=int, required=True)
     p.set_defaults(handler=_cmd_braid)
 
     p = sub.add_parser("akcheck", help="coset enumeration of balanced trivial-group presentations")
-    common(p, group=False, subgroups=False)
+    common(p, group=False)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alt", action="store_true",
                    help="use the power presentation x1^2 x2^-3, x1^3 x2^-4")
@@ -403,48 +406,23 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConnectivityError as exc:
-        payload = {
-            "schema": SCHEMA,
-            "status": "hypothesis-failed",
-            "message": str(exc),
-            "omitted": exc.omitted,
-            "witness": None if exc.witness is None else
-            {"I": list(exc.witness[0]), "J": list(exc.witness[1])},
-            "hypothesis_checks": exc.transcript,
-        }
+    except tuple(_FAILURES) as exc:
+        code, status, label = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         if args is not None and getattr(args, "json", False):
+            payload = {"schema": SCHEMA, "status": status, "message": str(exc)}
+            if isinstance(exc, ConnectivityError):
+                payload.update(omitted=exc.omitted, witness=_witness_dict(exc.witness),
+                               hypothesis_checks=exc.transcript)
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
-            print(f"hypothesis failed: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        if args is not None and getattr(args, "json", False):
-            print(json.dumps(
-                {"schema": SCHEMA, "status": "budget-exceeded", "message": str(exc)},
-                sort_keys=True, indent=2,
-            ))
-        else:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        if args is not None and getattr(args, "json", False):
-            print(json.dumps(
-                {"schema": SCHEMA, "status": "internal-error", "message": str(exc)},
-                sort_keys=True, indent=2,
-            ))
-        else:
-            print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+            print(f"{label}: {exc}", file=sys.stderr)
+        return code
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

@@ -18,6 +18,7 @@ deterministic for a fixed presentation, subgroup, limit and strategy.
 from collections import deque
 
 from .errors import InternalError
+from .presentations import cyclic_reduce, cyclic_words
 
 EMPTY = -1
 LOOKAHEAD_INTERVAL = 100_000
@@ -25,17 +26,6 @@ LOOKAHEAD_INTERVAL = 100_000
 
 class _LimitHit(Exception):
     pass
-
-
-def _cyclically_reduce(cols):
-    cols = list(cols)
-    while len(cols) >= 2 and cols[0] == cols[-1] ^ 1:
-        cols = cols[1:-1]
-    return tuple(cols)
-
-
-def _invert_cols(cols):
-    return tuple(c ^ 1 for c in reversed(cols))
 
 
 class CosetTable:
@@ -269,7 +259,7 @@ def _prepare(presentation, subgroup):
     relators = []
     seen = set()
     for rel in presentation.relators:
-        cols = _cyclically_reduce(rel)
+        cols = cyclic_reduce(rel)
         if cols and cols not in seen:
             seen.add(cols)
             relators.append(cols)
@@ -286,13 +276,11 @@ def _deduction_relators(relators, ncols):
     by_col = [[] for _ in range(ncols)]
     seen = [set() for _ in range(ncols)]
     for rel in relators:
-        for base in (rel, _invert_cols(rel)):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                c = rot[0]
-                if rot not in seen[c]:
-                    seen[c].add(rot)
-                    by_col[c].append(rot)
+        for rot in cyclic_words(rel):
+            c = rot[0]
+            if rot not in seen[c]:
+                seen[c].add(rot)
+                by_col[c].append(rot)
     return by_col
 
 
@@ -331,27 +319,29 @@ def todd_coxeter(
 
 def coset_table_from_action(generators, rows):
     """Wrap an externally built complete table (e.g. a group action)."""
-    table = CosetTable(generators, [list(r) for r in rows], "complete", len(rows), "action")
-    return table
+    return CosetTable(generators, [list(r) for r in rows], "complete", len(rows), "action")
 
 
-def schreier_representatives(table):
-    """BFS coset representatives as column tuples, in table order."""
-    nrows = table.n_cosets()
-    reps = {0: ()}
+def schreier_representatives(rows):
+    """Breadth-first spanning tree of a complete action, rooted at point 0.
+
+    rows[a][x] is the image of point a under column x.  Points leave the
+    queue first in, first out and columns are tried in order.  Returns the
+    tree edges (b, a, x) with b = rows[a][x], in the order the walk reaches
+    b, so every parent comes before its children.  The action is transitive
+    iff there are len(rows) - 1 edges; each caller checks that.
+    """
+    seen = [False] * len(rows)
+    seen[0] = True
     order = [0]
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for x in range(2 * len(table.generators)):
-            b = table.rows[a][x]
-            if b not in reps:
-                reps[b] = reps[a] + (x,)
+    tree = []
+    for a in order:
+        for x, b in enumerate(rows[a]):
+            if not seen[b]:
+                seen[b] = True
                 order.append(b)
-                queue.append(b)
-    if len(reps) != nrows:
-        raise InternalError("coset table is not connected")
-    return reps
+                tree.append((b, a, x))
+    return tree
 
 
 def schreier_rewrite_matrix(table, relators):
@@ -367,16 +357,13 @@ def schreier_rewrite_matrix(table, relators):
     cosets (true for any table of the same presentation, or any action
     factoring through the group).
     """
-    reps = schreier_representatives(table)
-    path_to = {path: c for c, path in reps.items()}
+    edges = schreier_representatives(table.rows)
+    if len(edges) != table.n_cosets() - 1:
+        raise InternalError("coset table is not connected")
     tree = set()
-    for c, path in reps.items():
-        if not path:
-            continue
-        x = path[-1]
-        a = path_to[path[:-1]]
+    for b, a, x in edges:
         tree.add((a, x))
-        tree.add((c, x ^ 1))
+        tree.add((b, x ^ 1))
     ngens = len(table.generators)
     col_index = {}
     for a in range(table.n_cosets()):

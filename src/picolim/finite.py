@@ -25,7 +25,7 @@ Cayley-graph relation matrix of A/B.
 import random
 
 from .abelian import AbelianInvariants
-from .coset import todd_coxeter
+from .coset import schreier_representatives, todd_coxeter
 from .errors import BudgetError, InternalError
 
 ORDER_CAP = 20_000
@@ -41,7 +41,14 @@ class FiniteGroup:
         self.perms = [tuple(p) for p in perms]
         self.gen_images = dict(gen_images)
         self.name = name
-        self._rep_cols, tree = self._representative_columns()
+        # Schreier representatives as column tuples along the BFS tree,
+        # whose edges (b, a, x) with b = a*x come parents first
+        tree = schreier_representatives(list(zip(*self.perms)) or [()])
+        if len(tree) != self.n - 1:
+            raise ValueError("generator permutations do not act transitively")
+        self._rep_cols = [()] * self.n
+        for b, a, x in tree:
+            self._rep_cols[b] = self._rep_cols[a] + (x,)
         self._mul = None
         if self.n <= _MUL_TABLE_CAP:
             # column-major: column b = a*x is column a pushed through perm_x
@@ -72,26 +79,6 @@ class FiniteGroup:
                 f"coset enumeration hit the {limit} row limit; group may be too large"
             )
         return cls.from_coset_table(table, name=name)
-
-    def _representative_columns(self):
-        """Schreier representatives as column tuples, and the BFS tree as
-        edges (b, a, x) with b = a*x, listed parents first."""
-        reps = {0: ()}
-        order = [0]
-        tree = []
-        i = 0
-        while i < len(order):
-            a = order[i]
-            i += 1
-            for x, perm in enumerate(self.perms):
-                b = perm[a]
-                if b not in reps:
-                    reps[b] = reps[a] + (x,)
-                    order.append(b)
-                    tree.append((b, a, x))
-        if len(reps) != self.n:
-            raise ValueError("generator permutations do not act transitively")
-        return [reps[i] for i in range(self.n)], tree
 
     def _trace(self, start, cols):
         for x in cols:

@@ -82,6 +82,38 @@ class Presentation:
         return f"Presentation({self.render()!r})"
 
 
+def free_reduce(w):
+    """w with each adjacent pair x, x ^ 1 cancelled."""
+    out = []
+    for x in w:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def cyclic_reduce(w):
+    """A freely reduced w with each first and last letter that cancel
+    around the cycle stripped."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == w[j] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(w[i:j + 1])
+
+
+def inverse(w):
+    return tuple(x ^ 1 for x in reversed(w))
+
+
+def cyclic_words(w):
+    """Every rotation of w, then every rotation of its inverse."""
+    for v in (w, inverse(w)):
+        for i in range(len(v)):
+            yield v[i:] + v[:i]
+
+
 def tietze(p):
     """Tietze reduction of p by its relators of length 1 and 2.
 
@@ -137,8 +169,7 @@ def tietze(p):
         return Presentation(p.generators[:1], [(0,)]), image
     first = {}
     for w in dict.fromkeys(rels):
-        inverse = tuple(x ^ 1 for x in reversed(w))
-        first.setdefault(min(v[i:] + v[:i] for v in (w, inverse) for i in range(len(v))), w)
+        first.setdefault(min(cyclic_words(w)), w)
     new = {2 * g: 2 * k for k, g in enumerate(survivors)}
     relators = [tuple(new[x & ~1] | (x & 1) for x in w) for w in first.values()]
     image = [None if y is None else new[y & ~1] | (y & 1) for y in image]
@@ -146,7 +177,9 @@ def tietze(p):
 
 
 def _substitute(rel, image):
-    """rel through image, freely and cyclically reduced."""
+    """rel through image, freely and cyclically reduced; the image and the
+    free reduction share one loop because Tietze passes call this for
+    every relator."""
     out = []
     for x in rel:
         y = image[x]
@@ -156,61 +189,48 @@ def _substitute(rel, image):
             out.pop()
         else:
             out.append(y)
-    i, j = 0, len(out) - 1
-    while i < j and out[i] == out[j] ^ 1:
-        i += 1
-        j -= 1
-    return tuple(out[i:j + 1])
+    return cyclic_reduce(out)
 
 
 # str.isalpha and str.isdigit would admit the letters and digits of any script
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT = re.compile(r"-[0-9]*|[0-9]+")
+_SPACE = re.compile(r"\s*")
 
 
 class _Lexer:
+    """Tokens (kind, value, offset) of a text, ending with an "end" token;
+    line and column are worked out only for an error."""
+
     SYMBOLS = "|:,*^[]"
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
-        self._run()
         self.index = 0
-
-    def _advance(self, n):
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _run(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch.isspace():
-                self._advance(1)
-                continue
-            start = (self.line, self.col)
+        pos = _SPACE.match(text).end()
+        while pos < len(text):
+            ch = text[pos]
             if ch in self.SYMBOLS:
-                self.tokens.append((ch, ch, start))
-                self._advance(1)
-            elif m := _NAME.match(text, self.pos):
-                self.tokens.append(("name", m.group(), start))
-                self._advance(m.end() - self.pos)
-            elif m := _INT.match(text, self.pos):
+                self.tokens.append((ch, ch, pos))
+                end = pos + 1
+            elif m := _NAME.match(text, pos):
+                self.tokens.append(("name", m.group(), pos))
+                end = m.end()
+            elif m := _INT.match(text, pos):
                 if m.group() == "-":
-                    raise ParseError("dangling minus sign", start[0], start[1])
-                self.tokens.append(("int", int(m.group()), start))
-                self._advance(m.end() - self.pos)
+                    raise self.error("dangling minus sign", pos)
+                self.tokens.append(("int", int(m.group()), pos))
+                end = m.end()
             else:
-                raise ParseError(f"unexpected character {ch!r}", start[0], start[1])
-        self.tokens.append(("end", None, (self.line, self.col)))
+                raise self.error(f"unexpected character {ch!r}", pos)
+            pos = _SPACE.match(text, end).end()
+        self.tokens.append(("end", None, pos))
+
+    def error(self, message, offset):
+        """A ParseError at a character offset, with its 1-based line and column."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self):
         return self.tokens[self.index]
@@ -224,29 +244,45 @@ class _Lexer:
         tok = self.next()
         if tok[0] != kind:
             shown = tok[1] if tok[0] != "end" else "end of input"
-            raise ParseError(
-                f"expected {what or kind}, found {shown!r}", tok[2][0], tok[2][1]
-            )
+            raise self.error(f"expected {what or kind}, found {shown!r}", tok[2])
         return tok
+
+
+def _parse_all(text, parse):
+    """parse(lexer) over the whole text, which must leave no input."""
+    lex = _Lexer(text)
+    out = parse(lex)
+    tok = lex.peek()
+    if tok[0] != "end":
+        raise lex.error(f"trailing input {tok[1]!r}", tok[2])
+    return out
+
+
+def _comma_list(lex, parse_item):
+    items = [parse_item(lex)]
+    while lex.peek()[0] == ",":
+        lex.next()
+        items.append(parse_item(lex))
+    return items
 
 
 def _parse_keyword(lex, keyword):
     tok = lex.expect("name", f"'{keyword}'")
     if tok[1] != keyword:
-        raise ParseError(f"expected '{keyword}', found {tok[1]!r}", tok[2][0], tok[2][1])
+        raise lex.error(f"expected '{keyword}', found {tok[1]!r}", tok[2])
     lex.expect(":", "':'")
 
 
 def _parse_term(lex, generators):
     tok = lex.expect("name", "generator name")
     if generators is not None and tok[1] not in generators:
-        raise ParseError(f"unknown generator {tok[1]!r}", tok[2][0], tok[2][1])
+        raise lex.error(f"unknown generator {tok[1]!r}", tok[2])
     exp = 1
     if lex.peek()[0] == "^":
         lex.next()
         etok = lex.next()
         if etok[0] != "int":
-            raise ParseError("expected integer exponent", etok[2][0], etok[2][1])
+            raise lex.error("expected integer exponent", etok[2])
         exp = etok[1]
     return Word(((tok[1], exp),))
 
@@ -266,49 +302,33 @@ def _parse_word(lex, generators):
     return w
 
 
+def _parse_word_list(lex, generators):
+    """Comma-separated words up to the end of input; there may be none."""
+    if lex.peek()[0] == "end":
+        return []
+    return _comma_list(lex, lambda lex: _parse_word(lex, generators))
+
+
 def parse_word(text, generators=None):
     """Parse a single word; optionally restrict to a known alphabet."""
-    lex = _Lexer(text)
-    w = _parse_word(lex, generators)
-    tok = lex.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
-    return w
+    return _parse_all(text, lambda lex: _parse_word(lex, generators))
 
 
 def parse_words(text, generators=None):
     """Parse a comma-separated word list (may be empty)."""
-    lex = _Lexer(text)
-    out = []
-    if lex.peek()[0] != "end":
-        out.append(_parse_word(lex, generators))
-        while lex.peek()[0] == ",":
-            lex.next()
-            out.append(_parse_word(lex, generators))
-    tok = lex.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
-    return out
+    return _parse_all(text, lambda lex: _parse_word_list(lex, generators))
+
+
+def _parse_presentation(lex):
+    _parse_keyword(lex, "gens")
+    gens = _comma_list(lex, lambda lex: lex.expect("name", "generator name")[1])
+    lex.expect("|", "'|'")
+    _parse_keyword(lex, "rels")
+    return gens, _parse_word_list(lex, gens)
 
 
 def parse_presentation(text):
-    lex = _Lexer(text)
-    _parse_keyword(lex, "gens")
-    gens = [lex.expect("name", "generator name")[1]]
-    while lex.peek()[0] == ",":
-        lex.next()
-        gens.append(lex.expect("name", "generator name")[1])
-    lex.expect("|", "'|'")
-    _parse_keyword(lex, "rels")
-    rels = []
-    if lex.peek()[0] not in ("end",):
-        rels.append(_parse_word(lex, gens))
-        while lex.peek()[0] == ",":
-            lex.next()
-            rels.append(_parse_word(lex, gens))
-    tok = lex.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2][0], tok[2][1])
+    gens, rels = _parse_all(text, _parse_presentation)
     try:
         p = Presentation(gens)
     except ValueError as exc:

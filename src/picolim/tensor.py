@@ -24,10 +24,15 @@ from functools import reduce
 from typing import NamedTuple
 
 from .abelian import AbelianInvariants
-from .coset import coset_table_from_action, schreier_rewrite_matrix, todd_coxeter
+from .coset import (
+    coset_table_from_action,
+    schreier_representatives,
+    schreier_rewrite_matrix,
+    todd_coxeter,
+)
 from .errors import BudgetError, InternalError
 from .finite import FiniteGroup, abelian_invariants_of_quotient
-from .presentations import Presentation, tietze
+from .presentations import Presentation, free_reduce, tietze
 
 SYMBOL_BUDGET = 100_000
 
@@ -81,10 +86,10 @@ class TensorPresentation:
         return self.symbol(sym.A, sym.B, G.conj(g, sym.a), G.conj(g, sym.b))
 
     def reduction(self):
-        """tietze(self.base), computed once for each base presentation."""
-        if self._reduction is None or self._reduction[0] is not self.base:
-            self._reduction = (self.base, tietze(self.base))
-        return self._reduction[1]
+        """tietze(self.base), computed once."""
+        if self._reduction is None:
+            self._reduction = tietze(self.base)
+        return self._reduction
 
     def boundary_steps(self):
         """Boundary image of each generator column, indexed by column."""
@@ -93,17 +98,6 @@ class TensorPresentation:
             d = self.boundary_of(s)
             steps += (d, self.ambient.inv(d))
         return steps
-
-
-def _free_reduce(cols):
-    """Free reduction: cancel each adjacent pair x, x ^ 1."""
-    out = []
-    for x in cols:
-        if out and out[-1] == x ^ 1:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def _block_subgroup(subgroups, A):
@@ -145,6 +139,20 @@ def _three_block_partitions(n):
 
 def build_T(t, symbol_budget=SYMBOL_BUDGET):
     """Tensor presentation of a NormalTuple over the finite engine."""
+    return _build(t, symbol_budget)
+
+
+def build_E(G, M, N, symbol_budget=SYMBOL_BUDGET):
+    """build_T for (G, M, N) plus the square relators x (x) x = 1 for
+    nontrivial x in M cap N, at every partition whose two blocks both
+    contain x."""
+    from .colimit import NormalTuple
+
+    t = NormalTuple(G, (G.full_subgroup(), M, N))
+    return _build(t, symbol_budget, squares=[x for x in M.intersect(N).members if x != 0])
+
+
+def _build(t, symbol_budget, squares=None):
     G = t.ambient
     if not isinstance(G, FiniteGroup):
         raise TypeError("tensor builder needs the finite engine")
@@ -179,7 +187,7 @@ def build_T(t, symbol_budget=SYMBOL_BUDGET):
     families = {"inverse": 0, "biadditive": 0, "threefold": 0, "conjugation": 0}
 
     def emit(cols, family):
-        cols = _free_reduce(cols)
+        cols = free_reduce(cols)
         if cols and cols not in seen:
             seen.add(cols)
             relators.append(cols)
@@ -224,32 +232,14 @@ def build_T(t, symbol_budget=SYMBOL_BUDGET):
             s3 = column[(A, B, G.conj(g, a), G.conj(g, b))]
             emit((s1, s2, s1 ^ 1, s3 ^ 1), "conjugation")
 
+    if squares is not None:
+        families["square"] = 0
+        for x in squares:
+            for A, B in partitions:
+                if blocks[A].contains(x) and blocks[B].contains(x):
+                    emit((column[(A, B, x, x)],), "square")
+
     return TensorPresentation(G, subs, partitions, blocks, column, relators, families)
-
-
-def build_E(G, M, N, symbol_budget=SYMBOL_BUDGET):
-    """build_T for (G, M, N) plus the square relators x (x) x = 1 for
-    nontrivial x in M cap N, at every partition whose two blocks both
-    contain x."""
-    from .colimit import NormalTuple
-
-    t = NormalTuple(G, (G.full_subgroup(), M, N))
-    tp = build_T(t, symbol_budget=symbol_budget)
-    inter = M.intersect(N)
-    extra = []
-    seen = set(tp.base.relators)
-    for x in inter.members:
-        if x == 0:
-            continue
-        for A, B in tp.partitions:
-            if tp.blocks[A].contains(x) and tp.blocks[B].contains(x):
-                rel = (tp.column[(A, B, x, x)],)
-                if rel not in seen:
-                    seen.add(rel)
-                    extra.append(rel)
-    tp.base = Presentation(tp.base.generators, tp.base.relators + tuple(extra))
-    tp.families = dict(tp.families, square=len(extra))
-    return tp
 
 
 def boundary_image(tp):
@@ -374,14 +364,10 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
 def _boundary_values(G, steps, table):
     """Boundary image of every element of T, indexed by coset id, from the
     boundary step of each column of the table."""
-    dval = [None] * table.n_cosets()
-    dval[0] = 0
-    queue = [0]
-    while queue:
-        a = queue.pop()
-        for x, step in enumerate(steps):
-            b = table.rows[a][x]
-            if dval[b] is None:
-                dval[b] = G.mul(dval[a], step)
-                queue.append(b)
+    tree = schreier_representatives(table.rows)
+    if len(tree) != table.n_cosets() - 1:
+        raise InternalError("the table of T is not connected")
+    dval = [0] * table.n_cosets()
+    for b, a, x in tree:
+        dval[b] = G.mul(dval[a], steps[x])
     return dval

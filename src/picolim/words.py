@@ -6,10 +6,9 @@ every Word is reduced by construction.  Exponents are plain Python ints and
 may be arbitrarily large.  Words are immutable and hashable.
 
 Besides the arithmetic (product, inverse, power) this module provides the
-commutator constructors used throughout the package, with the conventions
+commutator constructor used throughout the package, with the convention
 
     commutator(x, y) = x y x^-1 y^-1
-    conjugate(x, g)  = g x g^-1
 
 and the family of iterated commutator words hopf_element(k) built from
 letters y0, y1, ... by
@@ -76,9 +75,6 @@ class Word:
     def inverse(self):
         return Word(tuple((name, -exp) for name, exp in reversed(self.syllables)))
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, n):
         if n == 0:
             return Word()
@@ -109,32 +105,6 @@ def commutator(x, y):
     return x * y * x.inverse() * y.inverse()
 
 
-def conjugate(x, g):
-    """g x g^-1."""
-    return g * x * g.inverse()
-
-
-def left_normed_commutator(entries):
-    """[[...[z1^e1, z2^e2], ...], zt^et] for entries (word_or_name, sign).
-
-    Each entry is a pair (z, e) with z a Word or a generator name and e a
-    nonzero int used as the exponent on that letter.  A single entry returns
-    the letter power itself.
-    """
-    if not entries:
-        raise ValueError("left-normed commutator needs at least one entry")
-    words = []
-    for z, e in entries:
-        if e == 0:
-            raise ValueError("zero exponent in commutator entry")
-        w = z if isinstance(z, Word) else Word.gen(z)
-        words.append(w**e)
-    acc = words[0]
-    for w in words[1:]:
-        acc = commutator(acc, w)
-    return acc
-
-
 def render_word(w, fallback_generator=None):
     """Render to the text form `a*b^2*c^-1`.
 
@@ -152,43 +122,25 @@ def render_word(w, fallback_generator=None):
     return "*".join(parts)
 
 
-def _trailing_product(m):
-    return Word(tuple((f"y{i}", 1) for i in range(1, m + 1)))
-
-
-def _hopf_tree(depth, m):
-    """Bracket tree: leaves are (word, text), nodes are 2-tuples of trees."""
-    if depth == 1:
+def _hopf(k, m):
+    """h(k) with its innermost trailing product extended to y1...ym, as a
+    word and as bracket text; h(k) itself is _hopf(k, k)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k == 1:
+        tail = [f"y{i}" for i in range(1, m + 1)]
         left = (Word.gen("y0"), "y0")
-        tail = _trailing_product(m)
-        right = (tail, "".join(f"y{i}" for i in range(1, m + 1)))
-        return (left, right)
-    return (_hopf_tree(depth - 1, depth - 1), _hopf_tree(depth - 1, m))
-
-
-def _tree_word(tree):
-    a, b = tree
-    wa = _tree_word(a) if isinstance(a[0], tuple) else a[0]
-    wb = _tree_word(b) if isinstance(b[0], tuple) else b[0]
-    return commutator(wa, wb)
-
-
-def _tree_text(tree):
-    a, b = tree
-    ta = _tree_text(a) if isinstance(a[0], tuple) else a[1]
-    tb = _tree_text(b) if isinstance(b[0], tuple) else b[1]
-    return f"[{ta},{tb}]"
+        right = (Word(tuple((y, 1) for y in tail)), "".join(tail))
+    else:
+        left, right = _hopf(k - 1, k - 1), _hopf(k - 1, m)
+    return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"
 
 
 def hopf_element(k):
     """The k-th iterated commutator word, over letters y0..yk."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _tree_word(_hopf_tree(k, k))
+    return _hopf(k, k)[0]
 
 
 def hopf_element_brackets(k):
     """Nested bracket rendering of hopf_element(k), e.g. [[y0,y1],[y0,y1y2]]."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _tree_text(_hopf_tree(k, k))
+    return _hopf(k, k)[1]

@@ -11,9 +11,8 @@ from math import gcd
 from picolim.abelian import _bezout, _diagonalize
 from picolim.finite import FinSubgroup
 from picolim.nilpotent import IDENTITY, subgroup
-from picolim.presentations import Presentation
-from picolim.tensor import _free_reduce
-from picolim.words import Word
+from picolim.presentations import Presentation, free_reduce
+from picolim.words import Word, commutator
 
 
 # -- integer matrices ------------------------------------------------------------
@@ -461,7 +460,7 @@ def one_orientation_presentation(tp):
     relators = []
     seen = set()
     for rel in tp.base.relators:
-        cols = _free_reduce([remap[x] for x in rel])
+        cols = free_reduce([remap[x] for x in rel])
         if cols and cols not in seen:
             seen.add(cols)
             relators.append(cols)
@@ -519,3 +518,24 @@ def coset_labels_by_min(a, b):
 def reduce_word(w):
     """Re-run free reduction; a no-op on any Word, kept as an explicit op."""
     return Word(w.syllables)
+
+
+def left_normed_commutator(entries):
+    """[[...[z1^e1, z2^e2], ...], zt^et] for entries (word_or_name, sign).
+
+    Each entry is a pair (z, e) with z a Word or a generator name and e a
+    nonzero int used as the exponent on that letter.  A single entry returns
+    the letter power itself.
+    """
+    if not entries:
+        raise ValueError("left-normed commutator needs at least one entry")
+    words = []
+    for z, e in entries:
+        if e == 0:
+            raise ValueError("zero exponent in commutator entry")
+        w = z if isinstance(z, Word) else Word.gen(z)
+        words.append(w**e)
+    acc = words[0]
+    for w in words[1:]:
+        acc = commutator(acc, w)
+    return acc

@@ -293,3 +293,16 @@ def test_text_rendering(capsys):
     assert code == 0
     assert "invariants:" in out
     assert "schema" not in out
+
+
+@pytest.mark.parametrize("verb", [
+    ["wu", "--n", "2", "--class", "3"],
+    ["hopf", "--k", "2"],
+    ["braid", "--class", "3"],
+    ["h3check", "--r", "x", "--s", "y", "--class", "2"],
+])
+def test_limit_only_on_verbs_that_enumerate_cosets(capsys, verb):
+    code, out, err = _run(capsys, *verb, "--limit", "5")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --limit 5" in err

@@ -4,7 +4,8 @@ import pytest
 
 from oracles import coset_table_csv
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_presentation
+from picolim import coset
+from picolim.catalog import catalog_group, catalog_names, catalog_presentation, declared_order
 from picolim.colimit import NormalTuple
 from picolim.coset import (
     coset_table_from_action,
@@ -16,6 +17,13 @@ from picolim.presentations import parse_presentation, parse_word
 from picolim.tensor import build_T
 
 S3 = "gens: r,s | rels: r^3, s^2, s*r*s^-1*r"
+# the relators of `picolim akcheck --n 2`, `--n 3` and `--alt`; each
+# presents the trivial group
+AK_RELATORS = [
+    "x1^2*x2^-3, x1*x2*x1*x2^-1*x1^-1*x2^-1",
+    "x1^3*x2^-4, x1*x2*x1*x2^-1*x1^-1*x2^-1",
+    "x1^2*x2^-3, x1^3*x2^-4",
+]
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -53,19 +61,28 @@ def test_strategies_agree(text, order):
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-@pytest.mark.parametrize(
-    "rels",
-    [
-        "x1^2*x2^-3, x1*x2*x1*x2^-1*x1^-1*x2^-1",
-        "x1^3*x2^-4, x1*x2*x1*x2^-1*x1^-1*x2^-1",
-        "x1^2*x2^-3, x1^3*x2^-4",
-    ],
-)
+@pytest.mark.parametrize("rels", AK_RELATORS)
 def test_trivial_but_nonobvious_presentations(rels, strategy):
     p = parse_presentation(f"gens: x1,x2 | rels: {rels}")
     t = todd_coxeter(p, strategy=strategy)
     assert t.status == "complete"
     assert t.n_cosets() == 1
+
+
+@pytest.mark.parametrize("interval", [1, 2, 5, 17])
+def test_hlt_lookahead_keeps_tables_complete(monkeypatch, interval):
+    # lookahead runs every LOOKAHEAD_INTERVAL definitions; no real input
+    # reaches the default, so shrink it until it runs all the time.  The
+    # small limit turns a lookahead fault that keeps defining cosets into a
+    # failure instead of a hang.
+    monkeypatch.setattr(coset, "LOOKAHEAD_INTERVAL", interval)
+    cases = [(catalog_presentation(name), declared_order(name)) for name in catalog_names()]
+    cases += [(parse_presentation(f"gens: x1,x2 | rels: {rels}"), 1) for rels in AK_RELATORS]
+    for p, order in cases:
+        t = todd_coxeter(p, limit=10_000, strategy="hlt")
+        assert t.status == "complete"
+        assert t.n_cosets() == order
+        assert all(t.follow(c, rel) == c for rel in p.relators for c in range(order))
 
 
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
@@ -163,9 +180,8 @@ def _swap_fix_table():
 def test_action_table_and_representatives():
     t = _swap_fix_table()
     assert t.status == "complete"
-    reps = schreier_representatives(t)
-    assert reps[0] == ()
-    assert len(reps) == 2
+    # the tree edge (b, a, x) reaches b = 1 from a = 0 along column x = 0
+    assert schreier_representatives(t.rows) == [(1, 0, 0)]
 
 
 def test_rewrite_free_subgroup_rank():

@@ -7,7 +7,6 @@ from picolim.colimit import NormalTuple
 from picolim.coset import todd_coxeter
 from picolim.errors import BudgetError
 from picolim.nilpotent import free_nilpotent
-from picolim.presentations import Presentation
 from picolim.tensor import (
     TensorSymbol,
     _ordered_partitions,
@@ -164,10 +163,20 @@ def test_reduction_is_cached_per_base_presentation():
     kernel_of_boundary(tp, strategy="felsch")
     assert tp.reduction() is first
     assert len(first[0].generators) < len(tp.base.generators)
-    # build_E replaces the base presentation after build_T
-    tp.base = Presentation(tp.base.generators, tp.base.relators + ((0,),))
-    assert tp.reduction() is not first
-    assert tp.reduction()[1][0] is None
+    # build_E's presentation carries its square relators from the start, so
+    # it has its own reduction, and the build_T presentation of the same
+    # tuple keeps its own
+    g = catalog_group("S3")
+    a3 = catalog_subgroup("S3", "A3")
+    t = build_T(NormalTuple(g, (g.full_subgroup(), a3, a3)))
+    t_reduction = t.reduction()
+    e = build_E(g, a3, a3)
+    squares = e.base.relators[-e.families["square"]:]
+    assert e.base.relators == t.base.relators + squares
+    _, image = e.reduction()
+    assert all(len(rel) == 1 and image[rel[0]] is None for rel in squares)
+    assert t.reduction() is t_reduction
+    assert any(t_reduction[1][rel[0]] is not None for rel in squares)
 
 
 def test_relators_reduced_and_unique():

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from oracles import denominator_generators_depth_first, project_subgroup
+from oracles import denominator_generators_depth_first, left_normed_commutator, project_subgroup
 from picolim.abelian import AbelianInvariants
 from picolim.nilpotent import PcGroup, free_nilpotent, normal_closure_pc
 from picolim.presentations import parse_word
-from picolim.words import Word, hopf_element, left_normed_commutator
+from picolim.words import Word, hopf_element
 from picolim.wu import (
     WuConfiguration,
     _denominator_generators,
