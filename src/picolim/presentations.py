@@ -228,9 +228,7 @@ class _Lexer:
         self.tokens.append(("end", None, pos))
 
     def error(self, message, offset):
-        """A ParseError at a character offset, with its 1-based line and column."""
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
+        return _error_at(self.text, message, offset)
 
     def peek(self):
         return self.tokens[self.index]
@@ -246,6 +244,12 @@ class _Lexer:
             shown = tok[1] if tok[0] != "end" else "end of input"
             raise self.error(f"expected {what or kind}, found {shown!r}", tok[2])
         return tok
+
+
+def _error_at(text, message, offset):
+    """A ParseError at a character offset, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _parse_all(text, parse):
@@ -320,17 +324,20 @@ def parse_words(text, generators=None):
 
 
 def _parse_presentation(lex):
+    """The generator name tokens and the relator words."""
     _parse_keyword(lex, "gens")
-    gens = _comma_list(lex, lambda lex: lex.expect("name", "generator name")[1])
+    tokens = _comma_list(lex, lambda lex: lex.expect("name", "generator name"))
     lex.expect("|", "'|'")
     _parse_keyword(lex, "rels")
-    return gens, _parse_word_list(lex, gens)
+    return tokens, _parse_word_list(lex, [tok[1] for tok in tokens])
 
 
 def parse_presentation(text):
-    gens, rels = _parse_all(text, _parse_presentation)
-    try:
-        p = Presentation(gens)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    tokens, rels = _parse_all(text, _parse_presentation)
+    gens = []
+    for _, name, offset in tokens:
+        if name in gens:
+            raise _error_at(text, f"duplicate generator {name!r}", offset)
+        gens.append(name)
+    p = Presentation(gens)
     return Presentation(gens, [p.encode(w) for w in rels])

@@ -20,7 +20,7 @@ Schreier transversal of the boundary image, and cross-checks against a
 direct realization of T whenever the order cap admits one.
 """
 
-from functools import reduce
+from itertools import repeat
 from typing import NamedTuple
 
 from .abelian import AbelianInvariants
@@ -193,6 +193,18 @@ def _build(t, symbol_budget, squares=None):
             relators.append(cols)
             families[family] += 1
 
+    # the letter (^g s)^-1 for every symbol s, in symbol order, from one
+    # conjugation map per distinct g; the relators below use only these
+    elements = set().union(*(block.members for block in blocks.values()))
+    actions = {}
+
+    def acting(g):
+        act = actions.get(g)
+        if act is None:
+            conj = {x: G.conj(g, x) for x in elements}
+            act = actions[g] = [column[(A, B, conj[a], conj[b])] ^ 1 for A, B, a, b in symbols]
+        return act
+
     # a (x) b equals the inverse of b (x) a at the flipped partition
     for (A, B, a, b), x in column.items():
         emit((x, column[(B, A, b, a)]), "inverse")
@@ -201,19 +213,17 @@ def _build(t, symbol_budget, squares=None):
     for A, B in partitions:
         na, nb = blocks[A].members, blocks[B].members
         for a in na:
+            act = acting(a)
             for a2 in na:
                 for b in nb:
                     left = column[(A, B, G.mul(a, a2), b)]
-                    r1 = column[(A, B, G.conj(a, a2), G.conj(a, b))]
+                    r1 = act[column[(A, B, a2, b)] >> 1]
                     r2 = column[(A, B, a, b)]
-                    emit((left, r2 ^ 1, r1 ^ 1), "biadditive")
+                    emit((left, r2 ^ 1, r1), "biadditive")
 
     # three-block cyclic relation over U | V | W = {1..n}
     if n >= 3:
         for U, V, W in _three_block_partitions(n):
-            for X in (U, V, W):
-                if X not in blocks:
-                    blocks[X] = _block_subgroup(subs, X)
             UV = tuple(sorted(U + V))
             WU = tuple(sorted(W + U))
             VW = tuple(sorted(V + W))
@@ -225,12 +235,18 @@ def _build(t, symbol_budget, squares=None):
                         s3 = column[(VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u))]
                         emit((s1, s2, s3), "threefold")
 
-    # conjugation of one symbol by another goes through the boundary
+    # conjugation of one symbol by another goes through the boundary:
+    # s1 s2 s1^-1 (^(ds1) s2)^-1 = 1.  Symbol columns are even, so this word
+    # is freely reduced unless s2 = s1, and its first two letters set it
+    # apart from every other relator; only the s2 = s1 word goes through emit.
+    cols = list(column.values())
     for (_, _, a1, b1), s1 in column.items():
-        g = G.comm(a1, b1)
-        for (A, B, a, b), s2 in column.items():
-            s3 = column[(A, B, G.conj(g, a), G.conj(g, b))]
-            emit((s1, s2, s1 ^ 1, s3 ^ 1), "conjugation")
+        act = acting(G.comm(a1, b1))
+        i = s1 >> 1
+        relators.extend(zip(repeat(s1), cols[:i], repeat(s1 ^ 1), act[:i]))
+        emit((s1, s1, s1 ^ 1, act[i]), "conjugation")
+        relators.extend(zip(repeat(s1), cols[i + 1:], repeat(s1 ^ 1), act[i + 1:]))
+    families["conjugation"] += len(symbols) * (len(symbols) - 1)
 
     if squares is not None:
         families["square"] = 0
@@ -247,13 +263,36 @@ def boundary_image(tp):
     return tp.ambient.subgroup(tp.boundary_of(s) for s in tp.symbols)
 
 
+def boundary_action(tp, steps):
+    """The boundary image and, for each column x, the permutation of its
+    members (by position) under right multiplication by steps[x]; columns
+    with the same step share one permutation."""
+    G = tp.ambient
+    image = boundary_image(tp)
+    pos = {e: i for i, e in enumerate(image.members)}
+    if pos[0] != 0:
+        raise InternalError("the boundary image does not start at the identity")
+    perms = {}
+    for d in steps:
+        if d not in perms:
+            perms[d] = [pos[G.mul(e, d)] for e in image.members]
+    return image, [perms[d] for d in steps]
+
+
 def relator_soundness(tp):
-    """Relators that fail to map to the ambient identity (must be none)."""
-    steps = tp.boundary_steps()
-    return [
-        rel for rel in tp.base.relators
-        if reduce(tp.ambient.mul, [steps[x] for x in rel], 0) != 0
-    ]
+    """Relators that fail to map to the ambient identity (must be none).
+
+    A relator maps to the identity iff the right action of its boundary
+    steps on the boundary image fixes the identity, at position 0."""
+    _, perms = boundary_action(tp, tp.boundary_steps())
+    unsound = []
+    for rel in tp.base.relators:
+        c = 0
+        for x in rel:
+            c = perms[x][c]
+        if c:
+            unsound.append(rel)
+    return unsound
 
 
 def crossed_module_check(tp):
@@ -308,17 +347,13 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
             raise InternalError("a raw relator does not hold in the Tietze-reduced table")
 
     t_order = table.n_cosets()
-    image_group = boundary_image(tp)
+    image_group, perms = boundary_action(tp, steps)
     image_order = image_group.order()
     if t_order % image_order:
         raise InternalError("image order does not divide the order of T")
     kernel_order = t_order // image_order
 
-    elt_pos = {e: i for i, e in enumerate(image_group.members)}
-    if elt_pos[0] != 0:
-        raise InternalError("the boundary image does not start at the identity")
-    rows = [[elt_pos[G.mul(e, d)] for d in steps] for e in image_group.members]
-    pullback = coset_table_from_action(reduced.generators, rows)
+    pullback = coset_table_from_action(reduced.generators, list(zip(*perms)))
     mat, ncols = schreier_rewrite_matrix(pullback, reduced.relators)
     invariants = AbelianInvariants.from_relation_matrix(mat, ncols)
 

@@ -12,6 +12,7 @@ from picolim.abelian import _bezout, _diagonalize
 from picolim.finite import FinSubgroup
 from picolim.nilpotent import IDENTITY, subgroup
 from picolim.presentations import Presentation, free_reduce
+from picolim.tensor import _block_subgroup, _ordered_partitions, _three_block_partitions
 from picolim.words import Word, commutator
 
 
@@ -466,6 +467,78 @@ def one_orientation_presentation(tp):
             relators.append(cols)
     names = [name for name, s in zip(tp.base.generators, tp.symbols) if 1 in s.A]
     return Presentation(names, relators)
+
+
+def tensor_relators_exhaustive(t, squares=None):
+    """(relators, families) of the tensor presentation of a NormalTuple,
+    one free reduction and one conjugation per symbol for every relator
+    instance, in the order and with the deduplication of tensor._build."""
+    G = t.ambient
+    n = t.n
+    partitions = _ordered_partitions(n)
+    blocks = {}
+    for parts in partitions:
+        for A in parts:
+            if A not in blocks:
+                blocks[A] = _block_subgroup(t.subgroups, A)
+    symbols = [
+        (A, B, a, b)
+        for A, B in partitions
+        for a in blocks[A].members
+        for b in blocks[B].members
+    ]
+    column = {s: 2 * i for i, s in enumerate(symbols)}
+
+    relators = []
+    seen = set()
+    families = {"inverse": 0, "biadditive": 0, "threefold": 0, "conjugation": 0}
+
+    def emit(cols, family):
+        cols = free_reduce(cols)
+        if cols and cols not in seen:
+            seen.add(cols)
+            relators.append(cols)
+            families[family] += 1
+
+    for (A, B, a, b), x in column.items():
+        emit((x, column[(B, A, b, a)]), "inverse")
+
+    for A, B in partitions:
+        na, nb = blocks[A].members, blocks[B].members
+        for a in na:
+            for a2 in na:
+                for b in nb:
+                    left = column[(A, B, G.mul(a, a2), b)]
+                    r1 = column[(A, B, G.conj(a, a2), G.conj(a, b))]
+                    r2 = column[(A, B, a, b)]
+                    emit((left, r2 ^ 1, r1 ^ 1), "biadditive")
+
+    if n >= 3:
+        for U, V, W in _three_block_partitions(n):
+            UV = tuple(sorted(U + V))
+            WU = tuple(sorted(W + U))
+            VW = tuple(sorted(V + W))
+            for u in blocks[U].members:
+                for v in blocks[V].members:
+                    for x in blocks[W].members:
+                        s1 = column[(UV, W, G.conj(u, G.comm(G.inv(u), v)), G.conj(u, x))]
+                        s2 = column[(WU, V, G.conj(x, G.comm(G.inv(x), u)), G.conj(x, v))]
+                        s3 = column[(VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u))]
+                        emit((s1, s2, s3), "threefold")
+
+    for (_, _, a1, b1), s1 in column.items():
+        g = G.comm(a1, b1)
+        for (A, B, a, b), s2 in column.items():
+            s3 = column[(A, B, G.conj(g, a), G.conj(g, b))]
+            emit((s1, s2, s1 ^ 1, s3 ^ 1), "conjugation")
+
+    if squares is not None:
+        families["square"] = 0
+        for x in squares:
+            for A, B in partitions:
+                if blocks[A].contains(x) and blocks[B].contains(x):
+                    emit((column[(A, B, x, x)],), "square")
+    return relators, families
 
 
 # -- finite engine -------------------------------------------------------------

@@ -10,7 +10,7 @@ from picolim.abelian import hermite_reduce, smith_normal_form
 from picolim.catalog import catalog_group, groups_of_order_at_most
 from picolim.colimit import NormalTuple
 from picolim.coset import coset_table_from_action, schreier_rewrite_matrix
-from picolim.tensor import boundary_image, build_T, kernel_of_boundary
+from picolim.tensor import boundary_action, build_T, kernel_of_boundary
 
 
 def _random_matrix(rng):
@@ -83,11 +83,8 @@ def _schreier_matrices(monkeypatch, tuples):
 def _raw_schreier_matrix(tp):
     """Schreier matrix of the kernel from the raw presentation of T, which
     has every relator instance, so its rows are many and sparse."""
-    G = tp.ambient
-    image = boundary_image(tp)
-    pos = {e: i for i, e in enumerate(image.members)}
-    rows = [[pos[G.mul(e, d)] for d in tp.boundary_steps()] for e in image.members]
-    table = coset_table_from_action(tp.base.generators, rows)
+    _, perms = boundary_action(tp, tp.boundary_steps())
+    table = coset_table_from_action(tp.base.generators, list(zip(*perms)))
     return schreier_rewrite_matrix(table, tp.base.relators)
 
 

@@ -85,6 +85,21 @@ def test_presentation_duplicate_generator():
         Presentation(("a", "a"))
 
 
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("gens:\n b,\n  b | rels:", 3, 3),
+        ("gens: a,a | rels: a", 1, 9),
+        ("gens: a, b, a | rels: a", 1, 13),
+    ],
+)
+def test_duplicate_generator_points_at_second_occurrence(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert str(info.value).startswith("duplicate generator ")
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_render_round_trip():
     presentations = [parse_presentation("gens: r,s | rels: r^5, s^2, s*r*s^-1*r")]
     presentations += [catalog_presentation(name) for name in catalog_names()]

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import one_orientation_presentation
+from oracles import one_orientation_presentation, tensor_relators_exhaustive
 from picolim.abelian import AbelianInvariants
 from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import NormalTuple
@@ -8,6 +8,7 @@ from picolim.coset import todd_coxeter
 from picolim.errors import BudgetError
 from picolim.nilpotent import free_nilpotent
 from picolim.tensor import (
+    TensorPresentation,
     TensorSymbol,
     _ordered_partitions,
     _three_block_partitions,
@@ -70,6 +71,44 @@ def test_relators_sound_and_crossed(name, n):
     assert relator_soundness(tp) == []
     ok, witness = crossed_module_check(tp)
     assert ok, witness
+
+
+def _oracle_cases():
+    cases = []
+    for name in groups_of_order_at_most(4):
+        g = catalog_group(name)
+        normal = g.normal_subgroups()
+        cases += [(name, NormalTuple(g, (m, n))) for m in normal for n in normal]
+    cases += [(f"{name} pair", _full_tuple(name, 2)) for name in ("S3", "D4", "Q8")]
+    cases += [(f"{name} triple", _full_tuple(name, 3)) for name in ("C2", "S3")]
+    return cases
+
+
+def test_relators_equal_the_exhaustive_oracle():
+    for label, t in _oracle_cases():
+        tp = build_T(t)
+        relators, families = tensor_relators_exhaustive(t)
+        assert list(tp.base.relators) == relators, label
+        assert tp.families == families, label
+    g = catalog_group("S3")
+    a3 = catalog_subgroup("S3", "A3")
+    tp = build_E(g, a3, a3)
+    t = NormalTuple(g, (g.full_subgroup(), a3, a3))
+    relators, families = tensor_relators_exhaustive(t, [x for x in a3.members if x != 0])
+    assert list(tp.base.relators) == relators
+    assert tp.families == families
+
+
+def test_soundness_returns_exactly_the_unsound_relator():
+    tp = build_T(_full_tuple("S3", 2))
+    G = tp.ambient
+    s = next(s for s in tp.symbols if G.comm(s.a, s.b) != 0)
+    bad = (tp.column[s],)
+    wrong = TensorPresentation(
+        G, tp.subgroups, tp.partitions, tp.blocks, tp.column,
+        tp.base.relators + (bad,), tp.families,
+    )
+    assert relator_soundness(wrong) == [bad]
 
 
 def test_boundary_image():
