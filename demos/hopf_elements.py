@@ -1,11 +1,11 @@
 """Print the first few nested-bracket generator candidates and test their
 membership in the truncated quotients where they are expected to matter."""
 
-from picolim.words import hopf_element, hopf_element_brackets, render_word
+from picolim.words import hopf, hopf_element, render_word
 from picolim.wu import WuConfiguration, membership_check
 
 for k in range(1, 5):
-    print(f"h({k}) = {hopf_element_brackets(k)}")
+    print(f"h({k}) = {hopf(k)[1]}")
 print()
 
 for n, c in ((2, 3), (2, 4)):

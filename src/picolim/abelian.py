@@ -9,12 +9,13 @@ are what makes such badly presented Z-modules tractable (Havas, Holt and
 Rees, "Recognizing badly presented Z-modules", Linear Algebra Appl. 192,
 1993).  `smith_normal_form` splits off the unit pivots of that Hermite
 form and runs a dense elimination, with pivots of minimal absolute value,
-only on the block that remains.
+only on the block that remains.  The order of an element in a quotient
+comes from the same Smith form, by comparing the invariants of the
+lattice with and without the element.
 """
 
-from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 
 from .errors import InternalError
 
@@ -42,12 +43,10 @@ class AbelianInvariants:
 
     def order(self):
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
+
+    def to_json_dict(self):
+        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -231,51 +230,33 @@ def _diagonalize(m, ncols):
             continue
         divisors.append(abs(piv))
         top += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a, b = divisors[i], divisors[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                divisors[i], divisors[i + 1] = g, a * b // g
-                changed = True
+    # Each pivot appended divides every entry of the block left after it,
+    # and the later row and column operations only take integer
+    # combinations of those entries, so every later pivot is a multiple of
+    # it: the divisors come out as a divisibility chain.
+    for a, b in zip(divisors, divisors[1:]):
+        if b % a:
+            raise InternalError("Smith divisors do not form a divisibility chain")
     return divisors
-
-
-def in_lattice(vec, basis):
-    """Membership of an integer vector in a Hermite-basis lattice."""
-    vec = list(vec)
-    for row in basis:
-        col = next(j for j, v in enumerate(row) if v)
-        if vec[col]:
-            if vec[col] % row[col]:
-                return False
-            q = vec[col] // row[col]
-            vec = [v - q * r for v, r in zip(vec, row)]
-    return not any(vec)
 
 
 def order_in_quotient(vec, rows, ncols):
     """Order of vec + L in Z^ncols / L, where L is spanned by `rows`.
 
-    Returns a positive int, or None for infinite order.
+    Returns a positive int, or None for infinite order.  Z^ncols / L is
+    Z^r + T with T finite.  If vec + L has infinite order, L + <vec> has
+    smaller free rank.  Otherwise vec + L spans a cyclic subgroup of T of
+    order k, and dividing it out leaves torsion of order |T| / k.
     """
-    basis = hermite_reduce(rows, ncols)
-    if not any(vec):
-        return 1
-    # solve k * vec in L over Q: project through the echelon basis
-    residual = [Fraction(v) for v in vec]
-    denom = 1
-    for row in basis:
-        col = next(j for j, v in enumerate(row) if v)
-        if residual[col]:
-            q = residual[col] / row[col]
-            denom = denom * q.denominator // gcd(denom, q.denominator)
-            residual = [v - q * r for v, r in zip(residual, row)]
-    if any(residual):
+    lattice = AbelianInvariants.from_relation_matrix(rows, ncols)
+    grown = AbelianInvariants.from_relation_matrix([*rows, vec], ncols)
+    if grown.free_rank < lattice.free_rank:
         return None
-    if not in_lattice([denom * v for v in vec], basis):
-        raise InternalError("order found over Q is not an order in the lattice")
-    return denom
+    k = prod(lattice.torsion) // prod(grown.torsion)
+    # k * vec lies in L exactly when adding it leaves the invariants alone:
+    # Z^ncols / L maps onto Z^ncols / (L + <k vec>), and a surjection between
+    # isomorphic finitely generated abelian groups is injective
+    again = AbelianInvariants.from_relation_matrix([*rows, [k * v for v in vec]], ncols)
+    if again != lattice:
+        raise InternalError(f"order {k} does not put the element in the lattice")
+    return k

@@ -38,7 +38,7 @@ from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
 from .presentations import parse_presentation, parse_word
 from .tensor import SYMBOL_BUDGET, build_T, kernel_of_boundary
-from .words import _hopf, render_word
+from .words import hopf, render_word
 from .wu import WuConfiguration, braid_check, membership_check, wu_report
 
 SCHEMA = 1
@@ -116,10 +116,6 @@ def _parse_cli_word(text):
 
 def _witness_dict(witness):
     return None if witness is None else {"I": list(witness[0]), "J": list(witness[1])}
-
-
-def _invariants_dict(inv):
-    return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
 
 
 def _emit(args, payload, code=0):
@@ -235,7 +231,7 @@ def _cmd_kernel(args):
     group, subs = _load_tuple(args)
     tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
     result = kernel_of_boundary(tp, limit=_coset_limit(args), strategy=args.strategy)
-    payload = dict(result, verb="kernel", invariants=_invariants_dict(result["invariants"]))
+    payload = dict(result, verb="kernel", invariants=result["invariants"].to_json_dict())
     return _emit(args, payload)
 
 
@@ -251,7 +247,7 @@ def _cmd_wu(args):
 
 
 def _cmd_hopf(args):
-    word, brackets = _hopf(args.k, args.k)
+    word, brackets = hopf(args.k)
     payload = {
         "verb": "hopf",
         "k": args.k,

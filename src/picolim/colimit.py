@@ -73,11 +73,6 @@ def _product(subs):
     return reduce(lambda a, b: a.product(b), subs)
 
 
-def _check_inside(numerator, denominator):
-    if not numerator.contains_subgroup(denominator):
-        raise InternalError("denominator must lie in the numerator")
-
-
 class Report:
     """Uniform result record; `invariants` is AbelianInvariants or None."""
 
@@ -93,22 +88,30 @@ class Report:
         self.notes = notes or []
 
     def to_json_dict(self):
-        out = {
+        return {
             "formula": self.formula,
             "inputs": self.inputs,
             "hypothesis_checks": self.hypothesis_checks,
             "numerator": self.numerator,
             "denominator": self.denominator,
-            "invariants": None,
+            "invariants": None if self.invariants is None else self.invariants.to_json_dict(),
             "finding": self.finding,
             "notes": self.notes,
         }
-        if self.invariants is not None:
-            out["invariants"] = {
-                "free_rank": self.invariants.free_rank,
-                "torsion": list(self.invariants.torsion),
-            }
-        return out
+
+
+def _quotient_report(formula, inputs, numerator, denominator, **fields):
+    """Report of the invariants of numerator / denominator."""
+    if not numerator.contains_subgroup(denominator):
+        raise InternalError("denominator must lie in the numerator")
+    return Report(
+        formula=formula,
+        inputs=inputs,
+        numerator=numerator.descriptor(),
+        denominator=denominator.descriptor(),
+        invariants=quotient_invariants(numerator, denominator),
+        **fields,
+    )
 
 
 def is_connected_tuple(t):
@@ -197,15 +200,8 @@ def pi_n_colimit(t):
         denominator = t.ambient.trivial_subgroup()
     else:
         denominator = symmetric_commutator(t)
-    _check_inside(numerator, denominator)
-    invariants = quotient_invariants(numerator, denominator)
-    return Report(
-        formula="pi_n_colimit",
-        inputs={"n": t.n},
-        hypothesis_checks=transcript,
-        numerator=numerator.descriptor(),
-        denominator=denominator.descriptor(),
-        invariants=invariants,
+    return _quotient_report(
+        "pi_n_colimit", {"n": t.n}, numerator, denominator, hypothesis_checks=transcript
     )
 
 
@@ -239,21 +235,16 @@ def pi_2_colimit_n3(L, M, N):
             raise ValueError(f"{nm} is not normal")
     numerator = L.product(M).intersect(M.product(N))
     denominator = M.product(L.intersect(N))
-    _check_inside(numerator, denominator)
     try:
-        invariants = quotient_invariants(numerator, denominator)
-        finding = None
+        return _quotient_report("pi_2_colimit_n3", {}, numerator, denominator)
     except ValueError as exc:
-        invariants = None
-        finding = f"quotient is not abelian: {exc}"
-    return Report(
-        formula="pi_2_colimit_n3",
-        inputs={},
-        numerator=numerator.descriptor(),
-        denominator=denominator.descriptor(),
-        invariants=invariants,
-        finding=finding,
-    )
+        return Report(
+            formula="pi_2_colimit_n3",
+            inputs={},
+            numerator=numerator.descriptor(),
+            denominator=denominator.descriptor(),
+            finding=f"quotient is not abelian: {exc}",
+        )
 
 
 def h1_GMN(ambient, M, N):
@@ -264,15 +255,7 @@ def h1_GMN(ambient, M, N):
     full = ambient.full_subgroup()
     numerator = M.intersect(N)
     denominator = full.commutator(numerator).product(M.commutator(N))
-    _check_inside(numerator, denominator)
-    invariants = quotient_invariants(numerator, denominator)
-    return Report(
-        formula="h1_GMN",
-        inputs={},
-        numerator=numerator.descriptor(),
-        denominator=denominator.descriptor(),
-        invariants=invariants,
-    )
+    return _quotient_report("h1_GMN", {}, numerator, denominator)
 
 
 def hopf_h3_check(rank, r_word, s_word, cls, names=None):
@@ -290,16 +273,13 @@ def hopf_h3_check(rank, r_word, s_word, cls, names=None):
     rs = R.intersect(S)
     numerator = rs.intersect(derived)
     denominator = R.commutator(S).product(rs.commutator(full))
-    _check_inside(numerator, denominator)
-    invariants = quotient_invariants(numerator, denominator)
     first = F.gen_names[0]  # an identity relator renders as first^0
-    return Report(
-        formula="hopf_h3_check",
-        inputs={"rank": rank, "r": render_word(r_word, first),
-                "s": render_word(s_word, first), "class": cls},
-        numerator=numerator.descriptor(),
-        denominator=denominator.descriptor(),
-        invariants=invariants,
+    return _quotient_report(
+        "hopf_h3_check",
+        {"rank": rank, "r": render_word(r_word, first),
+         "s": render_word(s_word, first), "class": cls},
+        numerator,
+        denominator,
         notes=[f"truncated at class {cls}; triviality here is evidence, not proof"],
     )
 

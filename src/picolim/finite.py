@@ -19,7 +19,7 @@ only.  Normal subgroups are the joins of the normal closures of conjugacy
 classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2005); the whole subgroup lattice is built only on request.  Abelian
 invariants of a quotient A/B go through the Smith normal form of the
-Cayley-graph relation matrix of A/B.
+Cayley-graph relation matrix of A/B on the generators of A.
 """
 
 import random
@@ -126,20 +126,14 @@ class FiniteGroup:
         """x y x^-1 y^-1."""
         return self.mul(self.mul(x, y), self.mul(self._inv[x], self._inv[y]))
 
-    def element_order(self, i):
-        k = 1
-        j = i
-        while j != 0:
-            j = self.mul(j, i)
-            k += 1
-        return k
-
     def word_image(self, word):
+        """Element of a Word.  A syllable g^e costs at most n - 1 products,
+        since g^n is the identity in a group of order n."""
         out = 0
         for name, exp in word.syllables:
             g = self.gen_images[name]
             step = g if exp > 0 else self._inv[g]
-            for _ in range(abs(exp)):
+            for _ in range(abs(exp) % self.n):
                 out = self.mul(out, step)
         return out
 
@@ -419,9 +413,10 @@ def abelian_invariants_of_quotient(a, b):
     """Elementary divisors of A/B (B normal in A, quotient abelian).
 
     Both conditions are checked on generators of A, which suffices in a
-    finite group.  A greedy generating set of A/B keeps the relation matrix
-    narrow; the rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i)
-    over a spanning tree of coset representatives.
+    finite group.  The columns are the images of the generators of A; the
+    rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
+    a spanning tree of coset representatives.  A generator that lies in B
+    only adds the unit row e_i.
     """
     if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
@@ -438,38 +433,21 @@ def abelian_invariants_of_quotient(a, b):
     k = len(reps)
     if k == 1:
         return AbelianInvariants(0, ())
-
-    def q_mul(i, j):
-        return proj[g.mul(reps[i], reps[j])]
-
-    gens = []
-    closed = {0}
-    for i in range(1, k):
-        if i in closed:
-            continue
-        gens.append(i)
-        grown = set(closed)
-        p = i
-        while p not in closed:
-            grown.update(q_mul(c, p) for c in closed)
-            p = q_mul(p, i)
-        closed = grown
+    gens = a.gens
     m = len(gens)
     vec = {0: (0,) * m}
     rows = []
     queue = [0]
     while queue:
         q = queue.pop()
-        for pos, i in enumerate(gens):
-            s = q_mul(q, i)
-            step = tuple(
-                e + 1 if t == pos else e for t, e in enumerate(vec[q])
-            )
+        for pos, x in enumerate(gens):
+            s = proj[g.mul(reps[q], x)]
+            step = tuple(e + 1 if t == pos else e for t, e in enumerate(vec[q]))
             if s not in vec:
                 vec[s] = step
                 queue.append(s)
             else:
-                row = [x - y for x, y in zip(step, vec[s])]
+                row = [u - v for u, v in zip(step, vec[s])]
                 if any(row):
                     rows.append(row)
     if len(vec) != k:

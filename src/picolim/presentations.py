@@ -14,8 +14,8 @@ flat product form; parse(render(p)) == p.
 
 import re
 
-from .errors import ParseError
-from .words import Word, commutator, render_word, valid_generator_name
+from .errors import BudgetError, ParseError
+from .words import LETTER_BUDGET, Word, commutator, render_word, valid_generator_name
 
 
 class Presentation:
@@ -48,7 +48,12 @@ class Presentation:
 
     def encode(self, word):
         """Column tuple of a Word over these generators; it is freely
-        reduced because the Word is."""
+        reduced because the Word is.  Each letter takes one column."""
+        letters = word.length()
+        if letters > LETTER_BUDGET:
+            raise BudgetError(
+                f"word of {letters} letters exceeds the budget of {LETTER_BUDGET} letters"
+            )
         cols = []
         for name, exp in word.syllables:
             if name not in self._index:

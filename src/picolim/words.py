@@ -18,10 +18,14 @@ letters y0, y1, ... by
             extended by the next letter yk]
 
 so h(2) = [[y0,y1],[y0,y1*y2]], h(3) = [h(2), [[y0,y1],[y0,y1*y2*y3]]] and
-so on.  hopf_element_brackets(k) renders the nested bracket expression.
+so on.  hopf(k) also renders the nested bracket expression.
 """
 
 import re
+
+from .errors import BudgetError
+
+LETTER_BUDGET = 1_000_000  # letters of a word spelled out one at a time
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -136,11 +140,26 @@ def _hopf(k, m):
     return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"
 
 
+def hopf_letter_bound(k):
+    """U(k, k) >= the letters of h(k), where U(1, m) = 2 + 2m and
+    U(k, m) = 2 U(k-1, k-1) + 2 U(k-1, m), carried up as a + b m."""
+    a, b = 2, 2
+    for j in range(1, k):
+        a, b = 4 * a + 2 * b * j, 2 * b
+    return a + b * k
+
+
+def hopf(k):
+    """h(k) as a word and as bracket text, e.g. [[y0,y1],[y0,y1y2]];
+    refused before it is built when U(k, k) exceeds LETTER_BUDGET."""
+    bound = hopf_letter_bound(k)
+    if bound > LETTER_BUDGET:
+        raise BudgetError(
+            f"h({k}) may have {bound} letters, over the budget of {LETTER_BUDGET} letters"
+        )
+    return _hopf(k, k)
+
+
 def hopf_element(k):
     """The k-th iterated commutator word, over letters y0..yk."""
-    return _hopf(k, k)[0]
-
-
-def hopf_element_brackets(k):
-    """Nested bracket rendering of hopf_element(k), e.g. [[y0,y1],[y0,y1y2]]."""
-    return _hopf(k, k)[1]
+    return hopf(k)[0]

@@ -169,10 +169,7 @@ def wu_report(cfg):
         "class": cfg.class_bound,
         "numerator": {"igs_rows": len(num.pivots)},
         "denominator": dict(cfg._den_stats, igs_rows=len(den.pivots)),
-        "invariants": {
-            "free_rank": invariants.free_rank,
-            "torsion": list(invariants.torsion),
-        },
+        "invariants": invariants.to_json_dict(),
         "label": (
             f"truncated at class {cfg.class_bound}; the reported group is a "
             "quotient of the untruncated one"

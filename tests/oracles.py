@@ -8,8 +8,8 @@ import csv
 import random
 from math import gcd
 
-from picolim.abelian import _bezout, _diagonalize
-from picolim.finite import FinSubgroup
+from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
+from picolim.finite import FinSubgroup, _coset_labels
 from picolim.nilpotent import IDENTITY, subgroup
 from picolim.presentations import Presentation, free_reduce
 from picolim.tensor import _block_subgroup, _ordered_partitions, _three_block_partitions
@@ -67,6 +67,19 @@ def hermite_reduce_dense(rows, ncols):
 def smith_normal_form_dense(rows, ncols):
     """Smith divisors by dense elimination of the whole Hermite form."""
     return _diagonalize(hermite_reduce_dense(rows, ncols), ncols)
+
+
+def in_lattice(vec, basis):
+    """Membership of an integer vector in a Hermite-basis lattice."""
+    vec = list(vec)
+    for row in basis:
+        col = next(j for j, v in enumerate(row) if v)
+        if vec[col]:
+            if vec[col] % row[col]:
+                return False
+            q = vec[col] // row[col]
+            vec = [v - q * r for v, r in zip(vec, row)]
+    return not any(vec)
 
 
 # -- pc engine ---------------------------------------------------------------
@@ -575,6 +588,62 @@ def commutator_by_elements(h, k):
         if not extra:
             return FinSubgroup(g, members)
         members = _closure_by_products(g, members | extra)
+
+
+def element_order(g, i):
+    """Least k >= 1 with i^k the identity, by repeated multiplication."""
+    k = 1
+    j = i
+    while j != 0:
+        j = g.mul(j, i)
+        k += 1
+    return k
+
+
+def abelian_invariants_of_quotient_greedy(a, b):
+    """Invariants of an abelian A/B (B normal in A) on a greedy generating
+    set of A/B: each coset outside the subgroup the generators so far span
+    becomes a generator, and the relation rows follow the Cayley graph of
+    A/B on those generators."""
+    g = a.parent
+    reps, proj = _coset_labels(g, a.members, b.members)
+    k = len(reps)
+    if k == 1:
+        return AbelianInvariants(0, ())
+
+    def q_mul(i, j):
+        return proj[g.mul(reps[i], reps[j])]
+
+    gens = []
+    closed = {0}
+    for i in range(1, k):
+        if i in closed:
+            continue
+        gens.append(i)
+        grown = set(closed)
+        p = i
+        while p not in closed:
+            grown.update(q_mul(c, p) for c in closed)
+            p = q_mul(p, i)
+        closed = grown
+    m = len(gens)
+    vec = {0: (0,) * m}
+    rows = []
+    queue = [0]
+    while queue:
+        q = queue.pop()
+        for pos, i in enumerate(gens):
+            s = q_mul(q, i)
+            step = tuple(e + 1 if t == pos else e for t, e in enumerate(vec[q]))
+            if s not in vec:
+                vec[s] = step
+                queue.append(s)
+            else:
+                row = [x - y for x, y in zip(step, vec[s])]
+                if any(row):
+                    rows.append(row)
+    assert len(vec) == k, "generators fail to span the quotient"
+    return AbelianInvariants.from_relation_matrix(rows, m)
 
 
 def coset_labels_by_min(a, b):

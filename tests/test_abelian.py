@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from oracles import in_lattice
 from picolim.abelian import (
     AbelianInvariants,
     hermite_reduce,
-    in_lattice,
     order_in_quotient,
     smith_normal_form,
 )
@@ -88,17 +88,29 @@ def test_order_in_quotient():
     # free direction: infinite
     assert order_in_quotient([1], [], 1) is None
     assert order_in_quotient([0, 1], [[2, 0]], 2) is None
+    assert order_in_quotient([0, 0, 0], [], 3) == 1
+    # more rows than columns: Z^2 / <(4,0),(0,6),(2,3)> = Z/12
+    rows = [[4, 0], [0, 6], [2, 3]]
+    assert order_in_quotient([1, 0], rows, 2) == 4
+    assert order_in_quotient([2, 0], rows, 2) == 2
+    assert order_in_quotient([0, 1], rows, 2) == 6
 
 
 def test_order_in_quotient_matches_bruteforce():
     rng = random.Random(3)
-    for _ in range(50):
+    for _ in range(200):
         ncols = rng.randint(1, 3)
-        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(ncols)]
+        nrows = rng.randint(0, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
         vec = [rng.randint(-4, 4) for _ in range(ncols)]
         got = order_in_quotient(vec, rows, ncols)
-        if got is not None:
-            basis = hermite_reduce(rows, ncols)
+        basis = hermite_reduce(rows, ncols)
+        if got is None:
+            # infinite order: no positive multiple of vec lies in L
+            for k in range(1, 100):
+                assert not in_lattice([k * x for x in vec], basis)
+        else:
             assert in_lattice([got * x for x in vec], basis)
             for k in range(1, got):
                 assert not in_lattice([k * x for x in vec], basis)
+

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import element_order
 from picolim.catalog import (
     ORDER_CLASSES,
     all_catalog_names_of_order_at_most,
@@ -20,7 +21,7 @@ def _fingerprint(g):
         str(g.abelian_invariants()),
         g.center().order(),
         g.derived_subgroup().order(),
-        tuple(sorted(g.element_order(x) for x in range(g.n))),
+        tuple(sorted(element_order(g, x) for x in range(g.n))),
     )
 
 

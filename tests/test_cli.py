@@ -244,6 +244,30 @@ def test_budget_exit_code(capsys):
     assert payload["status"] == "budget-exceeded"
 
 
+def test_letter_budget_refusals(capsys):
+    code, payload, _ = _run_json(capsys, "hopf", "--k", "40")
+    assert code == 3
+    assert payload["status"] == "budget-exceeded"
+    assert "over the budget of 1000000 letters" in payload["message"]
+    code, payload, _ = _run_json(
+        capsys, "pi", "--n", "1", "--group", "gens: a | rels: a^1000000000",
+        "--subgroups", "full",
+    )
+    assert code == 3
+    assert payload["message"] == (
+        "word of 1000000000 letters exceeds the budget of 1000000 letters"
+    )
+
+
+def test_huge_exponent_in_subgroup_spec(capsys):
+    code, payload, _ = _run_json(
+        capsys, "pi", "--n", "1", "--group", "catalog:C64",
+        "--subgroups", "{a^1000000000001}",
+    )
+    assert code == 0
+    assert payload["invariants"] == {"free_rank": 0, "torsion": [64]}
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         AbelianInvariants, "from_relation_matrix",

@@ -6,9 +6,15 @@ from itertools import product
 
 import pytest
 
-from oracles import commutator_by_elements, coset_labels_by_min, normal_subgroups_by_lattice
+from oracles import (
+    abelian_invariants_of_quotient_greedy,
+    commutator_by_elements,
+    coset_labels_by_min,
+    element_order,
+    normal_subgroups_by_lattice,
+)
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_names
+from picolim.catalog import catalog_group, catalog_names, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import NormalTuple, pi_n_colimit
 from picolim.finite import (
     _MUL_TABLE_CAP,
@@ -79,9 +85,9 @@ def test_element_laws_random(s4):
 def test_element_orders_divide_group_order(q8, s3):
     for g in (q8, s3):
         for x in range(g.n):
-            assert g.n % g.element_order(x) == 0
+            assert g.n % element_order(g, x) == 0
     # Q8 has a unique involution
-    assert sum(1 for x in range(q8.n) if q8.element_order(x) == 2) == 1
+    assert sum(1 for x in range(q8.n) if element_order(q8, x) == 2) == 1
 
 
 def test_word_image_kills_relators(s3):
@@ -89,6 +95,25 @@ def test_word_image_kills_relators(s3):
         assert s3.word_image(parse_word(rel)) == 0
     assert s3.word_image(parse_word("r")) == s3.gen_images["r"]
     assert s3.word_image(parse_word("r^-1")) == s3.inv(s3.gen_images["r"])
+
+
+def test_word_image_reduces_exponents_by_group_order(s3):
+    # r has order 3 in S3, and 10^12 + 1 = 2 mod 3
+    r = s3.gen_images["r"]
+    assert s3.word_image(parse_word("r^1000000000001")) == s3.inv(r)
+    assert s3.word_image(parse_word("s^-1000000000001*r^-1000000000000")) == s3.word_image(
+        parse_word("s*r^2")
+    )
+    c64 = catalog_group("C64")
+    a = c64.gen_images["a"]
+    # 10^12 is divisible by 64, so a^(10^12 + 1) = a and a^-(10^12 + 1) = a^-1
+    assert c64.word_image(parse_word("a^1000000000001")) == a
+    assert c64.word_image(parse_word("a^-1000000000001")) == c64.inv(a)
+    assert c64.word_image(parse_word("a^-1000000000000")) == 0
+    sub = catalog_subgroup("C64", "{a^1000000000001}")
+    assert sub == c64.full_subgroup()
+    report = pi_n_colimit(NormalTuple(c64, (sub,)))
+    assert report.invariants == AbelianInvariants(0, (64,))
 
 
 def test_centers(s3, q8, v4):
@@ -234,6 +259,16 @@ def test_quotient_invariants_rejections(s3, s4):
         abelian_invariants_of_quotient(s4.full_subgroup(), s3.full_subgroup())
 
 
+def test_quotient_invariants_generator_inside_denominator(s3, s4):
+    for g in (s3, s4):
+        full = g.full_subgroup()
+        derived = g.derived_subgroup()
+        # one generator of the group lies in A_n and adds only a unit row
+        assert [x in derived.member_set for x in full.gens].count(True) == 1
+        assert abelian_invariants_of_quotient(full, derived) == AbelianInvariants(0, (2,))
+        assert abelian_invariants_of_quotient(full, full).is_trivial()
+
+
 def test_subgroup_validation(s3):
     with pytest.raises(ValueError):
         FinSubgroup(s3, [0, s3.gen_images["r"]])
@@ -280,6 +315,18 @@ def test_commutator_matches_elements_catalog_normal_pairs():
         normals = g.normal_subgroups()
         for h, k in product(normals, repeat=2):
             assert h.commutator(k) == commutator_by_elements(h, k), name
+
+
+def test_quotient_invariants_match_greedy_generators():
+    for name in groups_of_order_at_most(24):
+        g = catalog_group(name)
+        full = g.full_subgroup()
+        pairs = [(full, g.derived_subgroup())]
+        normals = g.normal_subgroups()
+        pairs += [(m.intersect(n), m.commutator(n)) for m, n in product(normals, repeat=2)]
+        for a, b in pairs:
+            got = abelian_invariants_of_quotient(a, b)
+            assert got == abelian_invariants_of_quotient_greedy(a, b), name
 
 
 def test_normal_closure_matches_all_conjugates(s4):

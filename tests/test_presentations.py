@@ -2,7 +2,7 @@ import pytest
 
 from picolim.catalog import catalog_group, catalog_names, catalog_presentation
 from picolim.colimit import NormalTuple
-from picolim.errors import ParseError
+from picolim.errors import BudgetError, ParseError
 from picolim.presentations import (
     Presentation,
     parse_presentation,
@@ -194,3 +194,12 @@ def test_tietze_deduplicates_up_to_rotation_and_inversion():
 def test_tietze_leaves_a_presentation_without_short_relators_alone():
     p = parse_presentation("gens: a,b | rels: a^3, b^2, a*b*a*b")
     assert tietze(p) == (p, [0, 1, 2, 3])
+
+
+def test_encode_refuses_words_over_the_letter_budget():
+    p = Presentation(["a", "b"])
+    assert p.encode(parse_word("a^1000000")) == (0,) * 1_000_000
+    with pytest.raises(BudgetError, match="word of 1000001 letters exceeds the budget"):
+        p.encode(parse_word("a^1000000*b"))
+    with pytest.raises(BudgetError, match="word of 1000000000 letters"):
+        parse_presentation("gens: a | rels: a^1000000000")

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from oracles import left_normed_commutator, reduce_word
+from picolim.errors import BudgetError
 from picolim.words import (
+    LETTER_BUDGET,
     Word,
     commutator,
+    hopf,
     hopf_element,
-    hopf_element_brackets,
+    hopf_letter_bound,
     render_word,
 )
 
@@ -93,7 +96,7 @@ def test_reduce_word_idempotent():
 
 def test_hopf_element_base_case():
     assert hopf_element(1) == commutator(Word.gen("y0"), Word.gen("y1"))
-    assert hopf_element_brackets(1) == "[y0,y1]"
+    assert hopf(1)[1] == "[y0,y1]"
 
 
 def test_hopf_element_recursion():
@@ -101,7 +104,7 @@ def test_hopf_element_recursion():
     y0, y1, y2 = Word.gen("y0"), Word.gen("y1"), Word.gen("y2")
     h2 = commutator(commutator(y0, y1), commutator(y0, y1 * y2))
     assert hopf_element(2) == h2
-    assert hopf_element_brackets(2) == "[[y0,y1],[y0,y1y2]]"
+    assert hopf(2)[1] == "[[y0,y1],[y0,y1y2]]"
     # h(3) = [h(2), [[y0,y1],[y0,y1*y2*y3]]]
     right = commutator(commutator(y0, y1), commutator(y0, y1 * y2 * Word.gen("y3")))
     assert hopf_element(3) == commutator(h2, right)
@@ -112,3 +115,21 @@ def test_hopf_element_letters():
         assert hopf_element(k).generators() == [f"y{i}" for i in range(k + 1)]
     with pytest.raises(ValueError):
         hopf_element(0)
+
+
+def test_hopf_letter_bound():
+    # U(1, m) = 2 + 2m and U(k, m) = 2 U(k-1, k-1) + 2 U(k-1, m)
+    def bound(k, m):
+        return 2 + 2 * m if k == 1 else 2 * bound(k - 1, k - 1) + 2 * bound(k - 1, m)
+
+    for k in range(1, 9):
+        assert hopf_letter_bound(k) == bound(k, k)
+    for k in range(1, 7):
+        assert hopf_element(k).length() <= hopf_letter_bound(k)
+    assert hopf_letter_bound(9) == 392_704 <= LETTER_BUDGET < hopf_letter_bound(10)
+
+
+def test_hopf_element_refused_over_the_letter_budget():
+    for k in (10, 40):
+        with pytest.raises(BudgetError, match=f"over the budget of {LETTER_BUDGET} letters"):
+            hopf_element(k)
