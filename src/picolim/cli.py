@@ -32,6 +32,7 @@ from .colimit import (
     pi_2_colimit_n3,
     pi_n_colimit,
     search_disconnected_triple,
+    witness_json,
 )
 from .coset import todd_coxeter
 from .errors import BudgetError, ConnectivityError, InternalError, ParseError
@@ -114,10 +115,6 @@ def _parse_cli_word(text):
         raise CliError(f"bad word {text!r}: {exc}")
 
 
-def _witness_dict(witness):
-    return None if witness is None else {"I": list(witness[0]), "J": list(witness[1])}
-
-
 def _emit(args, payload, code=0):
     payload = dict(payload, schema=SCHEMA)
     if args.json:
@@ -156,7 +153,7 @@ def _cmd_connectivity(args):
             "verb": "connectivity",
             "searched_order_at_most": args.search_order,
             "violations": [
-                {"group": name, "orders": list(orders), "witness": _witness_dict(w)}
+                {"group": name, "orders": list(orders), "witness": witness_json(w)}
                 for name, orders, w in finds
             ],
             "certified_none": not finds,
@@ -170,7 +167,7 @@ def _cmd_connectivity(args):
     payload = {
         "verb": "connectivity",
         "connected": ok,
-        "witness": _witness_dict(witness),
+        "witness": witness_json(witness),
         "orders": [s.order() for s in subs],
     }
     return _emit(args, payload)
@@ -279,9 +276,7 @@ def _cmd_akcheck(args):
         rel_text = f"x1^{n}*x2^-{n + 1}, {_AK_EXTRA}"
         label = f"n={n}"
     pres = parse_presentation(f"gens: x1,x2 | rels: {rel_text}")
-    table = todd_coxeter(pres, (), limit=_coset_limit(args), strategy=args.strategy)
-    if table.status != "complete":
-        raise BudgetError(f"enumeration exceeded {_coset_limit(args)} cosets")
+    table = todd_coxeter(pres, limit=_coset_limit(args), strategy=args.strategy)
     order = table.n_cosets()
     payload = {
         "verb": "akcheck",
@@ -413,7 +408,7 @@ def main(argv=None):
         if args is not None and getattr(args, "json", False):
             payload = {"schema": SCHEMA, "status": status, "message": str(exc)}
             if isinstance(exc, ConnectivityError):
-                payload.update(omitted=exc.omitted, witness=_witness_dict(exc.witness),
+                payload.update(omitted=exc.omitted, witness=witness_json(exc.witness),
                                hypothesis_checks=exc.transcript)
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:

@@ -170,6 +170,11 @@ def symmetric_commutator(t):
     return acc
 
 
+def witness_json(witness):
+    """A violating (I, J) as the JSON dict {"I": [...], "J": [...]}, or None."""
+    return None if witness is None else {"I": list(witness[0]), "J": list(witness[1])}
+
+
 def check_hypothesis(t):
     """Connectivity of every (n-1)-subtuple; transcript for reporting."""
     transcript = []
@@ -178,7 +183,7 @@ def check_hypothesis(t):
         transcript.append({
             "omitted": omit + 1,
             "connected": ok,
-            "witness": None if witness is None else {"I": list(witness[0]), "J": list(witness[1])},
+            "witness": witness_json(witness),
         })
         if not ok:
             raise ConnectivityError(

@@ -10,54 +10,43 @@ Two strategies share one table and one coincidence routine:
 
 The table is a flat list of ints with two columns per generator (column
 2*i is generator i, column 2*i+1 its inverse; x ^ 1 flips orientation).
-Cosets are merged through a union-find array; exceeding the row limit is a
-status on the returned table, not an exception.  The enumeration is
-deterministic for a fixed presentation, subgroup, limit and strategy.
+Cosets are merged through a union-find array.  Only the trivial subgroup is
+enumerated, so a table's cosets are the elements of the presented group.
+Defining a coset beyond the row limit raises BudgetError("coset enumeration
+exceeded N rows after M definitions"), the one refusal every caller
+reports; a returned table is always complete.  The enumeration is
+deterministic for a fixed presentation, limit and strategy.
 """
 
 from collections import deque
 
-from .errors import InternalError
+from .errors import BudgetError, InternalError
 from .presentations import cyclic_reduce, cyclic_words
 
 EMPTY = -1
 LOOKAHEAD_INTERVAL = 100_000
 
 
-class _LimitHit(Exception):
-    pass
-
-
 class CosetTable:
-    """A completed (or abandoned) coset table.
+    """A complete coset table.
 
-    rows[i][x] is the target coset of coset i under column x.  status is
-    "complete" or "exceeded-limit"; in the latter case rows is empty and
-    only `defined` (total cosets ever defined) is meaningful.
+    rows[i][x] is the target coset of coset i under column x; `defined`
+    counts the cosets ever defined on the way to it.
     """
 
-    def __init__(self, generators, rows, status, defined, strategy):
+    def __init__(self, generators, rows, defined):
         self.generators = tuple(generators)
         self.rows = rows
-        self.status = status
         self.defined = defined
-        self.strategy = strategy
 
     def n_cosets(self):
         return len(self.rows)
 
-    def follow(self, coset, cols):
-        """The coset reached from `coset` along a column tuple."""
-        for x in cols:
-            coset = self.rows[coset][x]
-        return coset
-
 
 class _Enumeration:
-    def __init__(self, ncols, relators, subgroup, limit):
+    def __init__(self, ncols, relators, limit):
         self.nc = ncols
         self.relators = relators
-        self.subgroup = subgroup
         self.limit = limit
         self.tab = [EMPTY] * ncols
         self.p = [0]
@@ -75,7 +64,9 @@ class _Enumeration:
 
     def define(self, alpha, x):
         if self.defined >= self.limit:
-            raise _LimitHit
+            raise BudgetError(
+                f"coset enumeration exceeded {self.limit} rows after {self.defined} definitions"
+            )
         n = len(self.p)
         self.p.append(n)
         self.tab.extend([EMPTY] * self.nc)
@@ -179,8 +170,6 @@ class _Enumeration:
                     break
 
     def run_hlt(self):
-        for w in self.subgroup:
-            self.scan(0, w, fill=True)
         next_look = LOOKAHEAD_INTERVAL
         alpha = 0
         while alpha < len(self.p):
@@ -208,9 +197,6 @@ class _Enumeration:
 
     def run_felsch(self, ded_rels):
         self.save_deductions = True
-        for w in self.subgroup:
-            self.scan(0, w, fill=True)
-            self.process_deductions(ded_rels)
         alpha = 0
         while alpha < len(self.p):
             if self.p[alpha] != alpha:
@@ -255,21 +241,6 @@ class _Enumeration:
         return rows
 
 
-def _prepare(presentation, subgroup):
-    relators = []
-    seen = set()
-    for rel in presentation.relators:
-        cols = cyclic_reduce(rel)
-        if cols and cols not in seen:
-            seen.add(cols)
-            relators.append(cols)
-    subgroup = [tuple(w) for w in subgroup if w]
-    nc = 2 * len(presentation.generators)
-    if any(not 0 <= x < nc for w in subgroup for x in w):
-        raise ValueError(f"subgroup column outside 0..{nc - 1}")
-    return relators, subgroup
-
-
 def _deduction_relators(relators, ncols):
     """For each column, the rotations of every relator and its inverse that
     begin with that column."""
@@ -284,42 +255,31 @@ def _deduction_relators(relators, ncols):
     return by_col
 
 
-def todd_coxeter(
-    presentation,
-    subgroup=(),
-    limit=1_000_000,
-    strategy="hlt",
-):
-    """Enumerate cosets of <subgroup> in the presented group.
-
-    Subgroup generators are column tuples, as made by presentation.encode.
-    Returns a CosetTable; an empty subgroup enumerates the elements of the
-    group itself.  On success the table is complete and closed under all
-    relators; if more than `limit` cosets get defined the returned table
-    has status "exceeded-limit" and no rows.
-    """
+def todd_coxeter(presentation, *, limit=1_000_000, strategy="hlt"):
+    """The complete coset table of the trivial subgroup: one coset per
+    element of the presented group, closed under all relators.  Raises
+    BudgetError when more than `limit` cosets would be defined."""
     if strategy not in ("hlt", "felsch"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    relators, subgroup_cols = _prepare(presentation, subgroup)
+    relators = []
+    seen = set()
+    for rel in presentation.relators:
+        cols = cyclic_reduce(rel)
+        if cols and cols not in seen:
+            seen.add(cols)
+            relators.append(cols)
     nc = 2 * len(presentation.generators)
-    enum = _Enumeration(nc, relators, subgroup_cols, limit)
-    try:
-        if strategy == "hlt":
-            enum.run_hlt()
-        else:
-            enum.run_felsch(_deduction_relators(relators, nc))
-    except _LimitHit:
-        return CosetTable(
-            presentation.generators, [], "exceeded-limit", enum.defined, strategy
-        )
-    return CosetTable(
-        presentation.generators, enum.live_rows(), "complete", enum.defined, strategy
-    )
+    enum = _Enumeration(nc, relators, limit)
+    if strategy == "hlt":
+        enum.run_hlt()
+    else:
+        enum.run_felsch(_deduction_relators(relators, nc))
+    return CosetTable(presentation.generators, enum.live_rows(), enum.defined)
 
 
 def coset_table_from_action(generators, rows):
     """Wrap an externally built complete table (e.g. a group action)."""
-    return CosetTable(generators, [list(r) for r in rows], "complete", len(rows), "action")
+    return CosetTable(generators, [list(r) for r in rows], len(rows))
 
 
 def schreier_representatives(rows):

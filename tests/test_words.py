@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from oracles import left_normed_commutator, reduce_word
+from oracles import hopf_recursive, left_normed_commutator, reduce_word
+from picolim import words
 from picolim.errors import BudgetError
 from picolim.words import (
     LETTER_BUDGET,
@@ -115,6 +116,26 @@ def test_hopf_element_letters():
         assert hopf_element(k).generators() == [f"y{i}" for i in range(k + 1)]
     with pytest.raises(ValueError):
         hopf_element(0)
+
+
+def test_hopf_matches_the_recursion():
+    for k in range(1, 7):
+        assert hopf(k) == hopf_recursive(k)
+
+
+def test_hopf_builds_each_subword_once(monkeypatch):
+    # level j holds h(j, m) for m = j..k, each one commutator of level j - 1
+    calls = []
+    real = words.commutator
+    monkeypatch.setattr(words, "commutator", lambda x, y: calls.append((x, y)) or real(x, y))
+    for k in range(1, 7):
+        calls.clear()
+        hopf(k)
+        assert len(calls) == k * (k + 1) // 2
+    calls.clear()
+    with pytest.raises(BudgetError):
+        hopf(10)
+    assert calls == []
 
 
 def test_hopf_letter_bound():
