@@ -12,10 +12,11 @@ The table is a flat list of ints with two columns per generator (column
 2*i is generator i, column 2*i+1 its inverse; x ^ 1 flips orientation).
 Cosets are merged through a union-find array.  Only the trivial subgroup is
 enumerated, so a table's cosets are the elements of the presented group.
-Defining a coset beyond the row limit raises BudgetError("coset enumeration
-exceeded N rows after M definitions"), the one refusal every caller
-reports; a returned table is always complete.  The enumeration is
-deterministic for a fixed presentation, limit and strategy.
+The limit bounds definitions: defining a coset beyond it raises
+BudgetError("coset enumeration reached its limit of N definitions with L
+live rows"), L being the cosets not merged away.  That is the one refusal
+every caller reports; a returned table is always complete.  The
+enumeration is deterministic for a fixed presentation, limit and strategy.
 """
 
 from collections import deque
@@ -65,7 +66,8 @@ class _Enumeration:
     def define(self, alpha, x):
         if self.defined >= self.limit:
             raise BudgetError(
-                f"coset enumeration exceeded {self.limit} rows after {self.defined} definitions"
+                f"coset enumeration reached its limit of {self.limit} definitions"
+                f" with {len(self.p) - self.dead} live rows"
             )
         n = len(self.p)
         self.p.append(n)

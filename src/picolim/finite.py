@@ -20,6 +20,17 @@ classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 2005); the whole subgroup lattice is built only on request.  Abelian
 invariants of a quotient A/B go through the Smith normal form of the
 Cayley-graph relation matrix of A/B on the generators of A.
+
+The colimit formulas meet the same few subgroups over and over, so a
+FiniteGroup keeps one table from member set to FinSubgroup.  Every
+subgroup the group hands out, from its own methods and from intersect,
+product and commutator, comes from that table: a member set seen before
+returns the same object without another closure, and a new one is
+validated and given its greedy generators once.  The object keeps its
+normality once asked and the invariants of each quotient A/B it is the
+numerator of, keyed by the members of B.  Refusals are not kept, and no
+operation is cached by its operands: a result is only ever looked up by
+its member set.
 """
 
 import random
@@ -58,6 +69,7 @@ class FiniteGroup:
                 cols[b] = list(map(self.perms[x].__getitem__, cols[a]))
             self._mul = cols
         self._inv = [self._find_inverse(i) for i in range(self.n)]
+        self._table = {}  # member frozenset -> its one FinSubgroup
         self._subgroups = None
         self._normals = None
         self._check_axioms()
@@ -142,11 +154,21 @@ class FiniteGroup:
 
     # -- distinguished subgroups -------------------------------------------
 
+    def _subgroup_on(self, members):
+        """The one FinSubgroup on the closed element set `members`: built
+        and validated on first sight, looked up ever after."""
+        key = frozenset(members)
+        sub = self._table.get(key)
+        if sub is None:
+            sub = FinSubgroup(self, key)
+            self._table[sub.member_set] = sub
+        return sub
+
     def trivial_subgroup(self):
-        return FinSubgroup(self, (0,))
+        return self._subgroup_on((0,))
 
     def full_subgroup(self):
-        return FinSubgroup(self, range(self.n))
+        return self._subgroup_on(range(self.n))
 
     def center(self):
         members = [
@@ -154,18 +176,18 @@ class FiniteGroup:
             for x in range(self.n)
             if all(self.mul(x, g) == self.mul(g, x) for g in self.gen_images.values())
         ]
-        return FinSubgroup(self, members)
+        return self._subgroup_on(members)
 
     def derived_subgroup(self):
         return self.full_subgroup().commutator(self.full_subgroup())
 
     def subgroup(self, elements):
         """Closure of the given element ids."""
-        return FinSubgroup(self, _closure(self, elements)[0])
+        return self._subgroup_on(_closure(self, elements)[0])
 
     def normal_closure(self, elements):
         members, _ = _normal_closure(self, self.gen_images.values(), elements)
-        return FinSubgroup(self, members)
+        return self._subgroup_on(members)
 
     def all_subgroups(self):
         """Every subgroup, as FinSubgroups sorted by (order, element tuple)."""
@@ -184,7 +206,7 @@ class FiniteGroup:
                             nxt.append(grown)
                 frontier = nxt
             self._subgroups = sorted(
-                (FinSubgroup(self, fs) for fs in found),
+                map(self._subgroup_on, found),
                 key=lambda s: (s.order(), s.members),
             )
         return self._subgroups
@@ -228,7 +250,7 @@ class FiniteGroup:
                             nxt.append(grown)
                 frontier = nxt
             self._normals = sorted(
-                (FinSubgroup(self, fs) for fs in found),
+                map(self._subgroup_on, found),
                 key=lambda s: (s.order(), s.members),
             )
         return list(self._normals)
@@ -320,7 +342,8 @@ def _coset_labels(group, members, sub):
 
 class FinSubgroup:
     """A subgroup of a FiniteGroup: its full element set and a greedy
-    generating set."""
+    generating set.  Its normality and the invariants of its quotients are
+    computed once and kept on it."""
 
     def __init__(self, parent, members):
         self.parent = parent
@@ -333,6 +356,8 @@ class FinSubgroup:
         if closed != self.member_set:
             raise ValueError("element set is not closed under multiplication")
         self.gens = tuple(gens)
+        self._normal = None
+        self._quotients = {}  # member frozenset of B -> invariants of self/B
 
     def order(self):
         return len(self.members)
@@ -349,16 +374,18 @@ class FinSubgroup:
             raise ValueError("subgroups live in different groups")
 
     def is_normal(self):
-        g = self.parent
-        return all(
-            g.conj(a, x) in self.member_set
-            for a in g.gen_images.values()
-            for x in self.gens
-        )
+        if self._normal is None:
+            g = self.parent
+            self._normal = all(
+                g.conj(a, x) in self.member_set
+                for a in g.gen_images.values()
+                for x in self.gens
+            )
+        return self._normal
 
     def intersect(self, other):
         self._same_parent(other)
-        return FinSubgroup(self.parent, self.member_set & other.member_set)
+        return self.parent._subgroup_on(self.member_set & other.member_set)
 
     def product(self, other):
         """Set product HK; requires at least one factor normal, so that
@@ -367,7 +394,7 @@ class FinSubgroup:
         if not (self.is_normal() or other.is_normal()):
             raise ValueError("product requires one normal factor")
         members, _ = _closure(self.parent, other.gens, self.members, self.gens)
-        return FinSubgroup(self.parent, members)
+        return self.parent._subgroup_on(members)
 
     def commutator(self, other):
         """[H, K]: the normal closure in <H, K> of the commutators of the
@@ -376,7 +403,7 @@ class FinSubgroup:
         g = self.parent
         comms = [g.comm(a, b) for a in self.gens for b in other.gens]
         members, _ = _normal_closure(g, self.gens + other.gens, comms)
-        return FinSubgroup(g, members)
+        return g._subgroup_on(members)
 
     def quotient_invariants(self, sub):
         return abelian_invariants_of_quotient(self, sub)
@@ -386,7 +413,7 @@ class FinSubgroup:
 
     def conjugate_by(self, g_elt):
         g = self.parent
-        return FinSubgroup(g, {g.conj(g_elt, x) for x in self.members})
+        return g._subgroup_on({g.conj(g_elt, x) for x in self.members})
 
     def __eq__(self, other):
         return (
@@ -409,10 +436,14 @@ def abelian_invariants_of_quotient(a, b):
     finite group.  The columns are the images of the generators of A; the
     rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
     a spanning tree of coset representatives.  A generator that lies in B
-    only adds the unit row e_i.
+    only adds the unit row e_i.  The result is kept on A, keyed by the
+    members of B; refusals are not kept.
     """
     if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
+    known = a._quotients.get(b.member_set)
+    if known is not None:
+        return known
     g = a.parent
     for x in a.gens:
         for y in b.gens:
@@ -425,7 +456,8 @@ def abelian_invariants_of_quotient(a, b):
     reps, proj = _coset_labels(g, a.members, b.members)
     k = len(reps)
     if k == 1:
-        return AbelianInvariants(0, ())
+        inv = a._quotients[b.member_set] = AbelianInvariants(0, ())
+        return inv
     gens = a.gens
     m = len(gens)
     vec = {0: (0,) * m}
@@ -448,4 +480,5 @@ def abelian_invariants_of_quotient(a, b):
     inv = AbelianInvariants.from_relation_matrix(rows, m)
     if inv.order() != k:
         raise InternalError("quotient order mismatch after Smith reduction")
+    a._quotients[b.member_set] = inv
     return inv

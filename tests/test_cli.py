@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from picolim import catalog
 from picolim.abelian import AbelianInvariants
 from picolim.cli import main
 
@@ -249,7 +250,7 @@ def test_budget_exit_code(capsys):
         assert code == 3
         assert payload["status"] == "budget-exceeded"
         assert payload["message"] == (
-            f"coset enumeration exceeded {limit} rows after {limit} definitions"
+            f"coset enumeration reached its limit of {limit} definitions with {limit} live rows"
         )
 
 
@@ -278,6 +279,8 @@ def test_huge_exponent_in_subgroup_spec(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
+    # a fresh catalog, so no quotient kept on an earlier S3 skips the patch
+    monkeypatch.setattr(catalog, "_cache", {})
     monkeypatch.setattr(
         AbelianInvariants, "from_relation_matrix",
         classmethod(lambda cls, rows, ncols: cls(0, ())),

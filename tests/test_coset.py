@@ -76,9 +76,18 @@ def test_hlt_lookahead_keeps_tables_complete(monkeypatch, interval):
 @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
 def test_exceeded_limit(strategy):
     p = parse_presentation("gens: a,b | rels:")
-    message = r"^coset enumeration exceeded 100 rows after 100 definitions$"
+    message = r"^coset enumeration reached its limit of 100 definitions with 100 live rows$"
     with pytest.raises(BudgetError, match=message):
         todd_coxeter(p, limit=100, strategy=strategy)
+
+
+def test_limit_message_counts_live_rows():
+    # HLT on the (2, 3, 5) triangle presentation of A5 has merged 8 of
+    # its 70 cosets away when the 71st would be defined
+    a5 = parse_presentation("gens: a,b | rels: a^2, b^3, " + "*".join(["a*b"] * 5))
+    message = r"^coset enumeration reached its limit of 70 definitions with 62 live rows$"
+    with pytest.raises(BudgetError, match=message):
+        todd_coxeter(a5, limit=70, strategy="hlt")
 
 
 def test_follow_cycles_through_group():

@@ -14,7 +14,14 @@ from oracles import (
     normal_subgroups_by_lattice,
 )
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_names, catalog_subgroup, groups_of_order_at_most
+from picolim.catalog import (
+    all_catalog_names_of_order_at_most,
+    catalog_group,
+    catalog_names,
+    catalog_presentation,
+    catalog_subgroup,
+    groups_of_order_at_most,
+)
 from picolim.colimit import NormalTuple, pi_n_colimit
 from picolim.finite import (
     _MUL_TABLE_CAP,
@@ -202,8 +209,9 @@ def test_product_requires_normal_factor(s3):
     rs = s3.mul(s3.gen_images["r"], s)
     h = s3.subgroup([s])
     k = s3.subgroup([rs])
-    with pytest.raises(ValueError):
-        h.product(k)
+    for _ in range(2):  # normality is kept on the subgroup; the refusal is not
+        with pytest.raises(ValueError, match="one normal factor"):
+            h.product(k)
 
 
 def test_commutator_subgroup_symmetric(s4):
@@ -249,14 +257,21 @@ def test_quotient_invariants_known(s3):
 
 
 def test_quotient_invariants_rejections(s3, s4):
-    with pytest.raises(ValueError):
-        abelian_invariants_of_quotient(s3.full_subgroup(), s3.trivial_subgroup())
     a3 = s3.subgroup([s3.gen_images["r"]])
     h2 = s3.subgroup([s3.gen_images["s"]])
-    with pytest.raises(ValueError):
-        abelian_invariants_of_quotient(h2, a3)
-    with pytest.raises(ValueError):
-        abelian_invariants_of_quotient(s4.full_subgroup(), s3.full_subgroup())
+    full = s3.full_subgroup()
+    # results are kept on the numerator, refusals are not: each is raised
+    # again, also after full has kept the invariants of full / a3
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not abelian"):
+            abelian_invariants_of_quotient(full, s3.trivial_subgroup())
+        with pytest.raises(ValueError, match="not normal"):
+            abelian_invariants_of_quotient(full, h2)
+        with pytest.raises(ValueError, match="not contained"):
+            abelian_invariants_of_quotient(h2, a3)
+        with pytest.raises(ValueError, match="different groups"):
+            abelian_invariants_of_quotient(s4.full_subgroup(), s3.full_subgroup())
+        assert abelian_invariants_of_quotient(full, a3) == AbelianInvariants(0, (2,))
 
 
 def test_quotient_invariants_generator_inside_denominator(s3, s4):
@@ -356,6 +371,86 @@ def test_quotient_projection_matches_min_labels(s4):
             _, proj = g.quotient(n)
             labels = coset_labels_by_min(full, n)
             assert proj == [labels[x] for x in range(g.n)]
+
+
+# -- one subgroup object per member set, normality and quotients kept on it ---
+
+
+def _fresh(name):
+    """A catalog group realised anew, with nothing computed on it yet."""
+    return FiniteGroup.from_presentation(catalog_presentation(name), name=name)
+
+
+def _count_smith_calls(monkeypatch):
+    calls = []
+    original = AbelianInvariants.from_relation_matrix.__func__
+
+    def counting(cls, rows, ncols):
+        calls.append(ncols)
+        return original(cls, rows, ncols)
+
+    monkeypatch.setattr(AbelianInvariants, "from_relation_matrix", classmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("name, expected", [("C2xC2xC2xC2", 66), ("D4", 8), ("Q8", 8)])
+def test_each_quotient_reaches_the_smith_form_once(monkeypatch, name, expected):
+    # the pair formula and the direct quotient ask for the same few
+    # quotients over and over; each distinct one is reduced once
+    g = _fresh(name)
+    calls = _count_smith_calls(monkeypatch)
+    normals = g.normal_subgroups()
+    for m, n in product(normals, repeat=2):
+        report = pi_n_colimit(NormalTuple(g, (m, n)))
+        direct = abelian_invariants_of_quotient(m.intersect(n), m.commutator(n))
+        assert report.invariants == direct
+    assert len(calls) == expected
+
+
+def test_subgroup_operations_hand_out_one_object_per_member_set():
+    g = _fresh("D4")
+    assert g.full_subgroup() is g.full_subgroup()
+    assert g.trivial_subgroup() is g.trivial_subgroup()
+    normals = g.normal_subgroups()
+    assert normals == g.normal_subgroups()
+    assert all(a is b for a, b in zip(normals, g.normal_subgroups()))
+    for m, n in product(normals, repeat=2):
+        assert m.intersect(n) is n.intersect(m)
+        assert m.product(n) is n.product(m)
+        assert m.commutator(n) is n.commutator(m)
+    assert g.derived_subgroup() is g.center()
+    r = g.gen_images["r"]
+    assert g.subgroup([r]) is g.normal_closure([r])
+    # the public constructor still validates and builds a separate object
+    built = FinSubgroup(g, g.subgroup([r]).members)
+    assert built == g.subgroup([r]) and built is not g.subgroup([r])
+
+
+def _quotient_or_refusal(a, b):
+    try:
+        return abelian_invariants_of_quotient(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_warm_group_answers_as_cold_copies():
+    # one group answers every normal pair in turn; a freshly realised copy
+    # answers each pair alone, in reverse order, so a table lookup that
+    # mixed up two subgroups, or two denominators of one numerator, would
+    # show as a different value
+    for name in all_catalog_names_of_order_at_most(24):
+        warm = _fresh(name)
+        normals = warm.normal_subgroups()
+        for m, n in product(normals, repeat=2):
+            got = (
+                pi_n_colimit(NormalTuple(warm, (m, n))).invariants,
+                _quotient_or_refusal(m, n),
+            )
+            cold = _fresh(name)
+            cm, cn = cold.subgroup(m.gens), cold.subgroup(n.gens)
+            quotient = _quotient_or_refusal(cm, cn)
+            pi = pi_n_colimit(NormalTuple(cold, (cn, cm))).invariants
+            assert (pi, quotient) == got, (name, m, n)
 
 
 # -- groups above the multiplication-table cap: products are traced ----------
