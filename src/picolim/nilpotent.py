@@ -14,7 +14,9 @@ a series is exact because the expansion of a Lyndon bracketing is
 unitriangular: its lex-least monomial of lowest degree is the Lyndon word
 itself, with coefficient 1.  Products, inverses, commutators and
 conjugates each collect into one dense list, and results are packed back
-into tuples whose pairs are shared through one table on the group.
+into tuples whose pairs are shared through one table on the group.  A
+commutator [x, y] with x in an abelian layer gamma_d, 2d > c, is linear
+in x and is summed from the kept commutators of basis elements with y.
 
 Subgroups carry an induced generating sequence (igs): one row per leading
 basis index, leading exponents positive, rows Hermite-reduced above later
@@ -26,7 +28,8 @@ Sift and insert run over any group arithmetic with mul, pow, inv and
 lead: the pc group itself for subgroups, and pairs (kappa, eta) whose value
 kappa * eta is tracked for intersections, so that members of a product
 K * H split into their parts.  Subgroups are closed by a semi-naive
-closure; the pair rows of an intersection need none.
+closure; the pair rows of an intersection need none, and neither do the
+witnesses that form its igs.
 """
 
 import math
@@ -73,6 +76,7 @@ class PcGroup:
         self._conj = {}
         self._pow_cache = {}
         self._lifted = {}
+        self._commuted = {}
         self._pairs = _Interned()
         self._wt = wt = basis.weights
         # first basis index of weight > w, for w = 0 .. cls
@@ -196,8 +200,36 @@ class PcGroup:
         return self._product((g, x, self.inv(g)))
 
     def comm(self, x, y):
-        """[x, y] = x y x^-1 y^-1."""
-        return self._product((x, y, self.inv(x), self.inv(y)))
+        """[x, y] = x y x^-1 y^-1.
+
+        Let d be the weight of the lead of x.  If 2d > c, [x, y] needs no
+        collection.  As the basis is ordered by weight, x lies in gamma_d,
+        and gamma_d is abelian, since [gamma_d, gamma_d] <= gamma_{2d} = 1.
+        Its elements are the normal forms on basis elements of weight >= d,
+        which commute pairwise, so a product in gamma_d adds exponents.
+        Conjugation by y maps gamma_d to itself, so x -> [x, y] =
+        x (y x y^-1)^-1 is a homomorphism of gamma_d, and [x, y] is the
+        sum of e_k [a_k, y] over the syllables (k, e_k) of x.  Each
+        [a_k, y] is collected once and kept in a table keyed by (k, y);
+        it is trivial once weight(k) + weight(lead of y) > c.
+        """
+        if not x or not y:
+            return IDENTITY
+        wt, c = self._wt, self.cls
+        if 2 * wt[x[0][0]] <= c:
+            return self._product((x, y, self.inv(x), self.inv(y)))
+        room = c - wt[y[0][0]]
+        table = self._commuted
+        e = [0] * self.basis.size
+        for k, f in x:
+            if wt[k] > room:
+                break
+            t = table.get((k, y))
+            if t is None:
+                t = table[(k, y)] = self._product((((k, 1),), y, ((k, -1),), self.inv(y)))
+            for i, g in t:
+                e[i] += f * g
+        return self._pack(e)
 
     def conj_pow(self, k, j, f):
         """Normal form of a_j^-f a_k a_j^f, from the series embedding."""
@@ -540,6 +572,12 @@ def intersect_pc(H, K):
     order of z_1 modulo P_{d+1}.  The pair tracking splits z_k into
     kappa * eta, and rK^(k a) * kappa = rH^(k b) * eta^-1 is the witness.
 
+    The witnesses are already an igs of H cap K and need no closure.  The
+    coordinate at d is additive on G_d, so its values on H cap K cap G_d
+    form a subgroup of Z.  Each is a multiple of l, and k l is one iff z_k
+    lies in P_{d+1}, so the witness at d has the least positive value.
+    No member leads at a pivot where H or K has no row.
+
     P needs insertion only, no closure.  Claim: if rows are an igs of N
     and x normalises N, _insert(rows, x) leaves an igs of S = <x> N.  By
     induction on the pivot j that x sifts to, from the deepest: sifting
@@ -564,7 +602,7 @@ def intersect_pc(H, K):
             raise ValueError(f"intersection needs normal subgroups; the {name} one is not")
     pairs = _Pairs(G)
     P = {}
-    witnesses = []
+    witnesses = {}
     for d in range(G.basis.size - 1, -1, -1):
         rH = H.rows.get(d)
         rK = K.rows.get(d)
@@ -581,13 +619,15 @@ def intersect_pc(H, K):
                 alt = G.mul(hpow, G.inv(eta))
                 if w != alt:
                     raise InternalError("witness factorization mismatch")
-                witnesses.append(w)
+                if G.lead(w) != (d, k0 * l0):
+                    raise InternalError(f"witness at pivot {d} does not lead with exponent {k0 * l0}")
+                witnesses[d] = w
         # extend P with the rows at pivot d before moving shallower
         if rK is not None:
             _insert(pairs, P, (rK, IDENTITY))
         if rH is not None:
             _insert(pairs, P, (IDENTITY, rH))
-    out = _igs(G, witnesses)
+    out = PcSubgroup(G, _canonical(G, witnesses))
     if not (H.contains_subgroup(out) and K.contains_subgroup(out)):
         raise InternalError("intersection escapes one of its operands")
     return out

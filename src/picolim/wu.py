@@ -9,6 +9,12 @@ commutators over tuples of signed letters, of length at most c, in which
 every letter occurs.  Results are quotients of the untruncated group: a
 nontrivial element found here is genuine, while collapse at class c proves
 nothing about higher classes.
+
+No closure is computed for the numerator.  For i >= 0, <y_i>^F is the span
+of the basis elements whose Lyndon word contains i, so the n closures of
+y0 .. y_{n-1} meet in the span of the basis elements that contain every
+letter.  <y_-1>^F is the image of <y_{n-1}>^F under the rotation of the
+letters, and the numerator is its one intersection with that span.
 """
 
 from functools import cached_property, reduce
@@ -16,6 +22,9 @@ from functools import cached_property, reduce
 from .abelian import order_in_quotient
 from .errors import InternalError
 from .nilpotent import (
+    PcSubgroup,
+    _canonical,
+    _insert,
     free_nilpotent,
     intersect_pc,
     normal_closure_pc,
@@ -63,10 +72,55 @@ class WuConfiguration:
         return out
 
     def closures(self):
+        """The normal closures of y_-1, y0, ..., y_{n-1}, in that order.
+
+        For 0 <= i < n, <y_i>^F is the span of the basis elements whose
+        Lyndon word contains i (see _letter_span).  <y_-1>^F comes from
+        the rotation sigma: y_i -> y_{i+1} for i < n-1, y_{n-1} -> y_-1.
+        Its image holds y1 .. y_{n-1} and y_-1, hence y0 =
+        y_-1^-1 y_{n-1}^-1 ... y1^-1, so sigma is a surjective endomorphism
+        of a finitely generated free group, an automorphism (free groups of
+        finite rank are Hopfian).  It fixes gamma_{c+1}, so it induces an
+        automorphism of the truncation that maps <y_{n-1}>^F onto <y_-1>^F.
+
+        The image of a basis element is the commutator of the images of
+        its two factors, as each basis element is that commutator.  The
+        images of the rows a_k of <y_{n-1}>^F are inserted deepest first.
+        Those of a_k, k >= j, generate sigma(N_j), N_j = <y_{n-1}>^F cap G_j
+        and G_j the elements that lead at j or later: <y_{n-1}>^F has the
+        rows a_k alone, so N_j is N_{j+1}, with a_j added when a_j is a
+        row.  G_j lies between gamma_{w+1} and gamma_w, w = weight(j), so
+        it is normal, and so are N_j and sigma(N_j).  Each new image
+        therefore normalises the subgroup the rows so far are an igs of,
+        and by the lemma in the intersect_pc docstring insertion alone
+        extends them to an igs of the next one.
+        """
         if self._closures is None:
             G = self.group()
-            self._closures = tuple(normal_closure_pc(G, [y]) for y in self.letters)
+            spans = [_letter_span(G, (i,)) for i in range(self.n)]
+            self._closures = (self._rotated(spans[-1]), *spans)
         return self._closures
+
+    def _rotated(self, last):
+        """<y_-1>^F from the igs rows a_k of <y_{n-1}>^F (see closures)."""
+        G = self.group()
+        letters = self.letters
+        images = []
+        for _, weight, bracket in G.basis.elements:
+            if weight == 1:
+                # y_j = letters[j + 1] goes to y_{j+1}, and y_{n-1} to y_-1
+                images.append(letters[(bracket + 2) % (self.n + 1)])
+            else:
+                images.append(G.comm(images[bracket[0]], images[bracket[1]]))
+        rows = {}
+        for k in reversed(last.pivots):
+            _insert(G, rows, images[k])
+        out = PcSubgroup(G, _canonical(G, rows))
+        # sigma preserves the Hirsch length, and every row of the span has
+        # leading exponent 1
+        if len(out.pivots) != len(last.pivots) or not out.contains(letters[0]):
+            raise InternalError("the rotated closure of y_{n-1} is not the closure of y_-1")
+        return out
 
     def denominator(self):
         if self._den is None:
@@ -79,6 +133,32 @@ class WuConfiguration:
         return self._num
 
 
+def _letter_span(G, letters):
+    """Span of the basis elements whose Lyndon word contains every letter.
+
+    For one letter i this is <y_i>^F, the kernel of the retraction rho that
+    kills y_i and fixes the other generators.  rho is defined on the
+    truncation G, as gamma_{c+1} is verbal, and factors through the
+    projection q onto G / <y_i>^G.  The induced map s back to G has q as a
+    left inverse (q s fixes every generator), so s is injective and
+    ker rho = ker q = <y_i>^G.  rho maps a basic commutator that contains i
+    to 1, and every other one to itself.  Those others are the Lyndon words on
+    the remaining letters, with the same standard factorisation and the
+    same order, so they form the Hall basis of the smaller truncation (M.
+    Hall, The Theory of Groups, 1959, ch. 11).  By uniqueness of normal
+    forms there, rho(u) = 1 iff every coordinate of u on a basic commutator
+    without i is 0.  The members of the kernel are thus the elements
+    supported on basic commutators with i, and these a_k, each leading at k
+    with exponent 1, are its canonical igs.  Coordinate spans meet in
+    coordinate spans, so for several letters this is the intersection of
+    their closures.
+    """
+    want = set(letters)
+    return PcSubgroup(G, {
+        k: ((k, 1),) for k, (word, _, _) in enumerate(G.basis.elements) if want.issubset(word)
+    })
+
+
 def _denominator_generators(cfg):
     """Distinct nontrivial left-normed commutators over covering tuples.
 
@@ -89,7 +169,8 @@ def _denominator_generators(cfg):
     each signed letter, while the stats count tuples as a depth-first
     walk over them would.  A tuple is abandoned once its partial
     commutator collapses, since extending the identity only yields the
-    identity again.
+    identity again.  At the last level a commutator is formed only if some
+    tuple that reaches it covers every letter; its nodes are counted first.
     """
     G = cfg.group()
     signed = cfg.signed_letters()
@@ -108,6 +189,8 @@ def _denominator_generators(cfg):
             tuples = sum(covers.values())
             for bit, elt in signed:
                 stats["nodes"] += tuples
+                if last and all(cover | bit != full for cover in covers):
+                    continue
                 nxt = G.comm(acc, elt)
                 if not nxt:
                     continue
@@ -134,8 +217,10 @@ def wu_denominator(cfg):
 
 
 def wu_numerator(cfg):
-    """Intersection of the n+1 normal closures."""
-    return reduce(intersect_pc, cfg.closures())
+    """Intersection of the n+1 normal closures: <y_-1>^F met with the span
+    of the basis elements that contain every letter y0 .. y_{n-1}, which is
+    the intersection of the other n."""
+    return intersect_pc(cfg.closures()[0], _letter_span(cfg.group(), range(cfg.n)))
 
 
 def wu_group(cfg):

@@ -6,11 +6,12 @@ them is needed to compute an answer.
 
 import csv
 import random
+from functools import reduce
 from math import gcd
 
 from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
 from picolim.finite import FinSubgroup, _coset_labels
-from picolim.nilpotent import IDENTITY, subgroup
+from picolim.nilpotent import IDENTITY, intersect_pc, normal_closure_pc, subgroup
 from picolim.presentations import Presentation, free_reduce
 from picolim.tensor import _block_subgroup, _ordered_partitions, _three_block_partitions
 from picolim.words import Word, commutator
@@ -234,6 +235,60 @@ def denominator_generators_depth_first(cfg):
 
     for bit, elt in signed:
         extend(elt, bit, 1)
+    return gens, stats
+
+
+def collected_comm(G, x, y):
+    """[x, y] collected as one product, with no use of abelian layers."""
+    return G._product((x, y, G.inv(x), G.inv(y)))
+
+
+def wu_closures_by_closure(cfg):
+    """The normal closures of y_-1, y0, ..., y_{n-1}, each closed from its
+    letter rather than read off the Hall basis."""
+    G = cfg.group()
+    return tuple(normal_closure_pc(G, [y]) for y in cfg.letters)
+
+
+def wu_numerator_by_closure(cfg):
+    """The Wu numerator as the intersection of the n+1 closures, one pair
+    at a time."""
+    return reduce(intersect_pc, wu_closures_by_closure(cfg))
+
+
+def denominator_generators_collected(cfg):
+    """Reference for wu._denominator_generators: the same level-by-level
+    search, but every commutator is collected and the last level forms
+    commutators that no covering tuple reaches too."""
+    G = cfg.group()
+    signed = cfg.signed_letters()
+    full = (1 << (cfg.n + 1)) - 1
+    gens = []
+    seen = set()
+    stats = {"nodes": 0, "covering_nontrivial": 0}
+    frontier = {}
+    for bit, elt in signed:
+        covers = frontier.setdefault(elt, {})
+        covers[bit] = covers.get(bit, 0) + 1
+    for _ in range(1, cfg.class_bound):
+        nxt_frontier = {}
+        for acc, covers in frontier.items():
+            tuples = sum(covers.values())
+            for bit, elt in signed:
+                stats["nodes"] += tuples
+                nxt = collected_comm(G, acc, elt)
+                if not nxt:
+                    continue
+                nxt_covers = nxt_frontier.setdefault(nxt, {})
+                for cover, m in covers.items():
+                    cov = cover | bit
+                    if cov == full:
+                        stats["covering_nontrivial"] += m
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            gens.append(nxt)
+                    nxt_covers[cov] = nxt_covers.get(cov, 0) + m
+        frontier = nxt_frontier
     return gens, stats
 
 

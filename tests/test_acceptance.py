@@ -98,11 +98,11 @@ def test_criterion_03_rank3_torsion_two():
 def test_criterion_04_denominator_equals_symmetric_commutator():
     t0 = time.time()
     ok = True
-    for n, c in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)):
+    for n, c in ((2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (4, 5)):
         equal, report = check_equality_13(n, c)
         ok = ok and equal and not report["denominator_only"] and not report["symmetric_only"]
     _line(4, ok, time.time() - t0, 300.0,
-          "tuple denominator matches the symmetric commutator at (2,3..6),(3,4),(3,5)")
+          "tuple denominator matches the symmetric commutator at (2,3..6),(3,4),(3,5),(4,4),(4,5)")
 
 
 def test_criterion_05_pair_formula_vs_direct():

@@ -135,6 +135,19 @@ except InternalError as exc:
     print("InternalError:", exc)
 """
 
+_WU_ROTATION = """
+from picolim.wu import WuConfiguration
+
+cfg = WuConfiguration(2, 3)
+G = cfg.group()
+# y_-1 replaced by [y0, y1]: the rotation is no automorphism and shrinks the closure
+cfg.letters = [G.comm(G.gen(0), G.gen(1))] + G.gens()
+try:
+    cfg.closures()
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
 _CATALOG = """
 import picolim.catalog as catalog
 
@@ -161,11 +174,12 @@ except InternalError as exc:
         (_HALL, "Lyndon word counts disagree with Witt numbers"),
         (_COLIMIT, "denominator must lie in the numerator"),
         (_WU, "denominator escapes the numerator"),
+        (_WU_ROTATION, "the rotated closure of y_{n-1} is not the closure of y_-1"),
         (_CATALOG, "catalog group S3 realized with order 6, expected 7"),
     ],
     ids=[
         "abelian", "coset", "tensor", "tietze-relators", "tietze-steps", "nilpotent", "magnus",
-        "hall", "colimit", "wu", "catalog",
+        "hall", "colimit", "wu", "wu-rotation", "catalog",
     ],
 )
 def test_internal_check_fires_under_optimize(script, message):

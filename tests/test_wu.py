@@ -1,10 +1,19 @@
 import itertools
+import random
 
 import pytest
 
-from oracles import denominator_generators_depth_first, left_normed_commutator, project_subgroup
+from oracles import (
+    collected_comm,
+    denominator_generators_collected,
+    denominator_generators_depth_first,
+    left_normed_commutator,
+    project_subgroup,
+    wu_closures_by_closure,
+    wu_numerator_by_closure,
+)
 from picolim.abelian import AbelianInvariants
-from picolim.nilpotent import PcGroup, free_nilpotent, normal_closure_pc
+from picolim.nilpotent import IDENTITY, PcGroup, free_nilpotent, normal_closure_pc
 from picolim.presentations import parse_word
 from picolim.words import Word, hopf_element
 from picolim.wu import (
@@ -128,6 +137,58 @@ def test_denominator_matches_word_level_oracle():
 
 
 ADMITTED = [(n, c) for n in (1, 2, 3) for c in range(n, 6)] + [(2, 6)]
+WITH_N4 = ADMITTED + [(4, 4)]
+
+
+@pytest.mark.parametrize("n,c", WITH_N4)
+def test_letter_closures_match_normal_closures(n, c):
+    cfg = WuConfiguration(n, c)
+    ref = WuConfiguration(n, c)
+    assert [h.rows for h in cfg.closures()] == [h.rows for h in wu_closures_by_closure(ref)]
+    assert cfg.numerator().rows == wu_numerator_by_closure(ref).rows
+
+
+@pytest.mark.parametrize("n,c", WITH_N4)
+def test_level_search_matches_collected_search(n, c):
+    # same generators in the same order, and the same stats, with no
+    # commutator skipped at the last level and every commutator collected
+    got = _denominator_generators(WuConfiguration(n, c))
+    assert got == denominator_generators_collected(WuConfiguration(n, c))
+
+
+@pytest.mark.parametrize("n,c", WITH_N4)
+def test_basis_elements_are_commutators_of_their_factors(n, c):
+    G = WuConfiguration(n, c).group()
+    for k, (_, weight, bracket) in enumerate(G.basis.elements):
+        if weight > 1:
+            u, v = bracket
+            assert G.comm(G.basis_element(u), G.basis_element(v)) == ((k, 1),)
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (3, 5)])
+def test_comm_on_abelian_layers_matches_collection(n, c):
+    rng = random.Random(17)
+    G = free_nilpotent(n, c)
+    wt = G.basis.weights
+
+    def rand_el(min_weight):
+        pool = [k for k in range(G.basis.size) if wt[k] >= min_weight]
+        u = IDENTITY
+        for _ in range(rng.randrange(1, 6)):
+            u = G.mul(u, ((rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3))),))
+        return u
+
+    abelian = c // 2 + 1
+    checked = 0
+    for _ in range(60):
+        x = rand_el(rng.randrange(abelian, c + 1))
+        y = rand_el(rng.randrange(1, c + 1))
+        if not x:
+            continue
+        assert 2 * wt[x[0][0]] > c
+        assert G.comm(x, y) == collected_comm(G, x, y)
+        checked += 1
+    assert checked > 40
 
 
 @pytest.mark.parametrize("n,c", ADMITTED)
@@ -139,20 +200,32 @@ def test_level_search_matches_depth_first_walk(n, c):
     assert set(gens) == set(ref_gens)
 
 
-@pytest.mark.parametrize("n,c,calls", [(2, 6, 9612), (3, 4, 3136)])
-def test_level_search_commutator_count(monkeypatch, n, c, calls):
-    # one commutator per distinct partial commutator, signed letter and level
-    cfg = WuConfiguration(n, c)
+def _count_calls(monkeypatch, name, cfg):
     count = [0]
-    comm = PcGroup.comm
+    method = getattr(PcGroup, name)
 
-    def counting(self, x, y):
+    def counting(self, *args):
         count[0] += 1
-        return comm(self, x, y)
+        return method(self, *args)
 
-    monkeypatch.setattr(PcGroup, "comm", counting)
+    monkeypatch.setattr(PcGroup, name, counting)
     _denominator_generators(cfg)
-    assert count[0] == calls
+    return count[0]
+
+
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 9324), (3, 4, 832)])
+def test_level_search_commutator_count(monkeypatch, n, c, calls):
+    # one commutator per distinct partial commutator, signed letter and
+    # level, except at the last level where no tuple reaching it covers
+    # every letter
+    assert _count_calls(monkeypatch, "comm", WuConfiguration(n, c)) == calls
+
+
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 1370), (3, 4, 755)])
+def test_level_search_collection_count(monkeypatch, n, c, calls):
+    # commutators on the abelian layers are summed from kept commutators
+    # of basis elements, so few of them are collected
+    assert _count_calls(monkeypatch, "_product", WuConfiguration(n, c)) == calls
 
 
 def test_longer_tuples_vanish_in_truncation():
