@@ -180,15 +180,11 @@ def catalog_subgroup(group_name, spec):
     """
     g = catalog_group(group_name)
     named = _registry[_resolve(group_name)][2]
-    return _resolve_subgroup(g, named.get(spec, spec))
+    return subgroup_of(g, named.get(spec, spec))
 
 
 def subgroup_of(g, spec):
     """Resolve a generic subgroup spec (no per-group names) in any group."""
-    return _resolve_subgroup(g, spec)
-
-
-def _resolve_subgroup(g, spec):
     spec = spec.strip()
     if spec == "trivial":
         return g.trivial_subgroup()

@@ -13,8 +13,9 @@ Group inputs accept three forms: catalog:NAME, an inline presentation in
 the `gens: ... | rels: ...` DSL, or a path to a file holding one.
 Subgroups are named by specs (trivial, full, center, derived, catalog
 names like A3, {words} for a generated subgroup, ncl{words} for a normal
-closure).  Budgets can be raised or lowered without code changes through
-PICOLIM_COSET_LIMIT and PICOLIM_SYMBOL_BUDGET.
+closure).  The coset limit is set by --limit on the verbs that enumerate
+cosets; the tensor symbol budget can be raised or lowered without code
+changes through PICOLIM_SYMBOL_BUDGET.
 """
 
 import argparse
@@ -61,22 +62,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _coset_limit(args):
-    return _env_int("PICOLIM_COSET_LIMIT", args.limit)
-
-
 def _symbol_budget():
-    return _env_int("PICOLIM_SYMBOL_BUDGET", SYMBOL_BUDGET)
-
-
-def _env_int(name, default):
-    env = os.environ.get(name)
-    return default if env is None else int(env)
+    env = os.environ.get("PICOLIM_SYMBOL_BUDGET")
+    return SYMBOL_BUDGET if env is None else int(env)
 
 
 def _load_tuple(args):
     """The group named by --group and the subgroups named by --subgroups."""
-    limit = _coset_limit(args)
     text = args.group
     if text.startswith("catalog:"):
         name = text[len("catalog:"):]
@@ -94,7 +86,7 @@ def _load_tuple(args):
                 f"group {text!r} is not catalog:NAME, an inline 'gens: ... | rels: ...' "
                 "presentation, or a readable file"
             )
-        group = FiniteGroup.from_presentation(parse_presentation(text), limit=limit)
+        group = FiniteGroup.from_presentation(parse_presentation(text), limit=args.limit)
         subgroup = partial(subgroup_of, group)
     subs = []
     for spec in args.subgroups.split(","):
@@ -227,7 +219,7 @@ def _cmd_tensor(args):
 def _cmd_kernel(args):
     group, subs = _load_tuple(args)
     tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
-    result = kernel_of_boundary(tp, limit=_coset_limit(args), strategy=args.strategy)
+    result = kernel_of_boundary(tp, limit=args.limit, strategy=args.strategy)
     payload = dict(result, verb="kernel", invariants=result["invariants"].to_json_dict())
     return _emit(args, payload)
 
@@ -276,7 +268,7 @@ def _cmd_akcheck(args):
         rel_text = f"x1^{n}*x2^-{n + 1}, {_AK_EXTRA}"
         label = f"n={n}"
     pres = parse_presentation(f"gens: x1,x2 | rels: {rel_text}")
-    table = todd_coxeter(pres, limit=_coset_limit(args), strategy=args.strategy)
+    table = todd_coxeter(pres, limit=args.limit, strategy=args.strategy)
     order = table.n_cosets()
     payload = {
         "verb": "akcheck",

@@ -16,9 +16,12 @@ the finite engine.
 
 The n-th homotopy group of the union is (cap N_i) / (symmetric commutator)
 provided every (n-1)-subtuple satisfies the connectivity condition: for
-all index sets I (|I| >= 2) and J (|J| >= 1),
+all disjoint index sets I (|I| >= 2) and J (|J| >= 1),
 
     (cap_{i in I} N_i) (prod_{j in J} N_j) = cap_{i in I} (N_i prod_{j in J} N_j).
+
+(The condition holds trivially when I and J share an index; see
+is_connected_tuple.)
 
 The check is mandatory; on failure the computation refuses with the
 offending subtuple and witness rather than report a number the formula
@@ -77,14 +80,13 @@ class Report:
     """Uniform result record; `invariants` is AbelianInvariants or None."""
 
     def __init__(self, formula, inputs, hypothesis_checks=None, numerator=None,
-                 denominator=None, invariants=None, finding=None, notes=None):
+                 denominator=None, invariants=None, notes=None):
         self.formula = formula
         self.inputs = inputs
         self.hypothesis_checks = hypothesis_checks or []
         self.numerator = numerator
         self.denominator = denominator
         self.invariants = invariants
-        self.finding = finding
         self.notes = notes or []
 
     def to_json_dict(self):
@@ -95,7 +97,9 @@ class Report:
             "numerator": self.numerator,
             "denominator": self.denominator,
             "invariants": None if self.invariants is None else self.invariants.to_json_dict(),
-            "finding": self.finding,
+            # the key belongs to schema 1; no formula reports a finding
+            # (pi_2_colimit_n3's quotient is always abelian)
+            "finding": None,
             "notes": self.notes,
         }
 
@@ -115,9 +119,17 @@ def _quotient_report(formula, inputs, numerator, denominator, **fields):
 
 
 def is_connected_tuple(t):
-    """(ok, witness): witness is a violating (I, J) of 1-based indices."""
+    """(ok, witness): witness is a violating (I, J) of 1-based indices.
+
+    Only J disjoint from I is checked.  If i lies in both, then
+    N_i <= N_J, so (cap_I N) N_J and cap_I (N_i N_J) both equal N_J.  The
+    pairs skipped never violate the condition, so the first witness is the
+    first over all pairs in the order I, then J, by size and then
+    lexicographically.
+    """
     m = t.n
     if m <= 2:
+        # no disjoint I and J with |I| >= 2 and J nonempty
         return True, None
     subs = t.subgroups
     indices = range(m)
@@ -136,13 +148,13 @@ def is_connected_tuple(t):
             got = prod_cache[J] = _product([subs[j] for j in J])
         return got
 
-    for isize in range(2, m + 1):
+    for isize in range(2, m):
         for I in combinations(indices, isize):
-            for jsize in range(1, m + 1):
-                for J in combinations(indices, jsize):
-                    pj = prod(J)
-                    lhs = inter(I).product(pj)
-                    rhs = _intersection([subs[i].product(pj) for i in I])
+            rest = [j for j in indices if j not in I]
+            for jsize in range(1, len(rest) + 1):
+                for J in combinations(rest, jsize):
+                    lhs = inter(I).product(prod(J))
+                    rhs = _intersection([prod(tuple(sorted(J + (i,)))) for i in I])
                     if not lhs == rhs:
                         witness = (tuple(i + 1 for i in I), tuple(j + 1 for j in J))
                         return False, witness
@@ -232,24 +244,17 @@ def pi_1_colimit(t):
 def pi_2_colimit_n3(L, M, N):
     """Invariants of (LM cap MN) / (M (L cap N)); symmetric in L, M, N.
 
-    If the quotient turns out nonabelian the report carries a finding
-    instead of invariants.
+    The quotient is always abelian.  Modulo M, LM cap MN is the
+    intersection of the images of L and N, whose commutator subgroup lies
+    in their commutator, the image of [L, N] <= L cap N.  So
+    [LM cap MN, LM cap MN] <= M (L cap N) <= LM cap MN.
     """
     for nm, s in (("L", L), ("M", M), ("N", N)):
         if not s.is_normal():
             raise ValueError(f"{nm} is not normal")
     numerator = L.product(M).intersect(M.product(N))
     denominator = M.product(L.intersect(N))
-    try:
-        return _quotient_report("pi_2_colimit_n3", {}, numerator, denominator)
-    except ValueError as exc:
-        return Report(
-            formula="pi_2_colimit_n3",
-            inputs={},
-            numerator=numerator.descriptor(),
-            denominator=denominator.descriptor(),
-            finding=f"quotient is not abelian: {exc}",
-        )
+    return _quotient_report("pi_2_colimit_n3", {}, numerator, denominator)
 
 
 def h1_GMN(ambient, M, N):

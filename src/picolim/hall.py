@@ -104,7 +104,6 @@ class HallBasis:
                 self.elements.append((w, len(w), (self.index_of_word[u], self.index_of_word[v])))
         self.size = len(self.elements)
         self.weights = [e[1] for e in self.elements]
-        self.weight_counts = counts
         got = [0] * cls
         for w in self.weights:
             got[w - 1] += 1

@@ -232,9 +232,10 @@ class PcGroup:
         return self._pack(e)
 
     def conj_pow(self, k, j, f):
-        """Normal form of a_j^-f a_k a_j^f, from the series embedding."""
-        if f == 0 or self.basis.weight(k) + self.basis.weight(j) > self.cls:
-            return ((k, 1),)
+        """Normal form of a_j^-f a_k a_j^f, from the series embedding.
+
+        _push asks only for f != 0 and weight(k) + weight(j) <= c; every
+        other a_k commutes with a_j^f."""
         key = (k, j, f)
         got = self._conj.get(key)
         if got is None:
@@ -364,29 +365,32 @@ def _insert(A, rows, u):
 
 
 def _close(G, rows, conjugate_by=()):
-    """Close pivot rows under inverse and products, and under conjugation
-    by the given elements (for normal closures).
+    """Close pivot rows under products, and under conjugation by the given
+    elements (for normal closures).
 
-    Semi-naive: each row is probed once, by its inverse, its products with
-    every row in both orders and its conjugates, and again whenever an
-    insertion changes its pivot.  When nothing is left to probe, every
-    pair of rows has been probed, which is the igs criterion of Sims,
-    Computation with Finitely Presented Groups (1994), ch. 9.  Conjugates
-    by inverses are not needed: g S g^-1 <= S forces equality in a
-    finitely generated nilpotent group.
+    Semi-naive: each row is probed once, by its products with the other
+    rows and by its conjugates, and again whenever an insertion changes
+    its pivot.  When nothing is left to probe, every pair of rows has been
+    probed, which is the igs criterion of Sims, Computation with Finitely
+    Presented Groups (1994), ch. 9: for rows x and y leading at d < e,
+    x^-1 y x lies in the span of the rows past d.  Basis elements of a free
+    nilpotent group have infinite order, so no power needs a probe.
+
+    One product per pair suffices.  Sifting x^-1, x x or x y through the
+    rows divides out x, and for x y then y, so each reaches 1 and its
+    insertion changes nothing; only y x can, since its first sift step
+    leaves x^-1 y x.  So a row a at d is probed by b a for each row b past
+    d and by a b for each row b before d.  Conjugates by inverses are not
+    needed: g S g^-1 <= S forces equality in a finitely generated
+    nilpotent group.
     """
     dirty = set(rows)
     while dirty:
         d = dirty.pop()
         a = rows[d]
-        probes = [G.inv(a)]
-        for d2 in sorted(rows):
-            b = rows[d2]
-            probes.append(G.mul(a, b))
-            if d2 != d:
-                probes.append(G.mul(b, a))
-        for g in conjugate_by:
-            probes.append(G.conj(a, g))
+        probes = [G.mul(b, a) if e > d else G.mul(a, b)
+                  for e, b in sorted(rows.items()) if e != d]
+        probes += [G.conj(a, g) for g in conjugate_by]
         for p in probes:
             dirty.update(_insert(G, rows, p))
 

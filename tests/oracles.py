@@ -7,6 +7,7 @@ them is needed to compute an answer.
 import csv
 import random
 from functools import reduce
+from itertools import combinations
 from math import gcd
 
 from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
@@ -485,6 +486,27 @@ def _order_mod_paired(G, P, z):
             k *= t
             v = G.pow(v, t)
     return k
+
+
+# -- colimit formulas ----------------------------------------------------------
+
+
+def is_connected_tuple_all_pairs(t):
+    """colimit.is_connected_tuple checking every (I, J), overlapping or not:
+    (ok, witness), witness the first violating (I, J) of 1-based indices."""
+    subs = t.subgroups
+    m = len(subs)
+    index_sets = [c for size in range(1, m + 1) for c in combinations(range(m), size)]
+    prod = {J: reduce(lambda a, b: a.product(b), [subs[j] for j in J]) for J in index_sets}
+    joins = {(i, J): subs[i].product(prod[J]) for i in range(m) for J in index_sets}
+    for I in index_sets[m:]:
+        lhs_base = reduce(lambda a, b: a.intersect(b), [subs[i] for i in I])
+        for J in index_sets:
+            lhs = lhs_base.product(prod[J])
+            rhs = reduce(lambda a, b: a.intersect(b), [joins[i, J] for i in I])
+            if lhs != rhs:
+                return False, (tuple(i + 1 for i in I), tuple(j + 1 for j in J))
+    return True, None
 
 
 # -- coset tables --------------------------------------------------------------

@@ -211,6 +211,19 @@ def test_hopf_verb(capsys):
     assert payload["letters"] == ["y0", "y1", "y2"]
 
 
+def test_hopf_verb_with_membership(capsys):
+    # h(1) = [y0, y1] generates pi_3(S^2) = Z, so it has infinite order
+    code, payload, _ = _run_json(capsys, "hopf", "--k", "1", "--class", "3")
+    assert code == 0
+    assert payload["word"] == "y0*y1*y0^-1*y1^-1"
+    assert payload["membership"] == {
+        "in_numerator": True,
+        "in_denominator": False,
+        "order_in_quotient": None,
+        "note": "infinite order at class 3",
+    }
+
+
 def test_braid_verb(capsys):
     code, payload, _ = _run_json(capsys, "braid", "--class", "3")
     assert code == 0
@@ -291,12 +304,6 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4
     assert payload["status"] == "internal-error"
     assert "Smith" in payload["message"]
-
-
-def test_coset_limit_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PICOLIM_COSET_LIMIT", "10")
-    code, _, _ = _run(capsys, "akcheck", "--n", "3")
-    assert code == 3
 
 
 def test_symbol_budget_env_override(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+from oracles import is_connected_tuple_all_pairs
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_subgroup
+from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import (
     NormalTuple,
     check_hypothesis,
@@ -47,6 +48,26 @@ def test_pairs_satisfy_equation_directly():
         for a, b in combinations_with_replacement(normals, 2):
             assert _pair_equation_holds(a, b, g)
             assert is_connected_tuple(NormalTuple(g, (a, b))) == (True, None)
+
+
+def test_connectivity_matches_the_check_over_all_pairs():
+    # is_connected_tuple skips every (I, J) that share an index; the check
+    # over all pairs gives the same verdict and the same first witness
+    violations = 0
+    for name in groups_of_order_at_most(12):
+        g = catalog_group(name)
+        for triple in product(g.normal_subgroups(), repeat=3):
+            t = NormalTuple(g, triple)
+            got = is_connected_tuple(t)
+            assert got == is_connected_tuple_all_pairs(t), (name, triple)
+            violations += not got[0]
+    g = catalog_group("C2xC2xC2")
+    for quad in combinations_with_replacement(g.normal_subgroups(), 4):
+        t = NormalTuple(g, quad)
+        got = is_connected_tuple(t)
+        assert got == is_connected_tuple_all_pairs(t), quad
+        violations += not got[0]
+    assert violations == 726 + 1155
 
 
 def test_normal_tuple_validation():

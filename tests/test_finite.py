@@ -194,6 +194,11 @@ def test_quotient_rejects_non_normal(s3):
         s3.quotient(h)
 
 
+def test_quotient_rejects_another_groups_subgroup(s3, s4):
+    with pytest.raises(ValueError, match="belongs to a different group"):
+        s3.quotient(s4.trivial_subgroup())
+
+
 def test_intersect_and_product_in_v4(v4):
     order2 = [h for h in v4.all_subgroups() if h.order() == 2]
     assert len(order2) == 3

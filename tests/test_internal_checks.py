@@ -57,6 +57,21 @@ except InternalError as exc:
     print("InternalError:", exc)
 """
 
+_TENSOR_CENTRAL = """
+import picolim.tensor as tensor
+from picolim.catalog import catalog_group
+from picolim.colimit import NormalTuple
+
+a4 = catalog_group("A4")
+tp = tensor.build_T(NormalTuple(a4, (a4.derived_subgroup(), a4.full_subgroup())))
+# every symbol now bounds 1, so all of T, of order 8 and nonabelian, passes for the kernel
+tensor.TensorPresentation.boundary_of = lambda self, sym: 0
+try:
+    tensor.kernel_of_boundary(tp)
+except InternalError as exc:
+    print("InternalError:", exc)
+"""
+
 _TIETZE = """
 import picolim.tensor as tensor
 from picolim.catalog import catalog_group
@@ -166,6 +181,7 @@ except InternalError as exc:
         (_ABELIAN, "order 1 does not put the element in the lattice"),
         (_COSET, "relator does not stabilize the cosets"),
         (_TENSOR, "direct kernel Z/2 differs from Schreier rewriting Z x Z/2"),
+        (_TENSOR_CENTRAL, "the kernel of the boundary is not central in T"),
         # C3 has a trivial boundary, so only the raw relators see the flip
         ('GROUP = "C3"' + _TIETZE, "a raw relator does not hold in the Tietze-reduced table"),
         ('GROUP = "S3"' + _TIETZE, "column 20 and its Tietze image have different boundary steps"),
@@ -178,8 +194,8 @@ except InternalError as exc:
         (_CATALOG, "catalog group S3 realized with order 6, expected 7"),
     ],
     ids=[
-        "abelian", "coset", "tensor", "tietze-relators", "tietze-steps", "nilpotent", "magnus",
-        "hall", "colimit", "wu", "wu-rotation", "catalog",
+        "abelian", "coset", "tensor", "tensor-central", "tietze-relators", "tietze-steps",
+        "nilpotent", "magnus", "hall", "colimit", "wu", "wu-rotation", "catalog",
     ],
 )
 def test_internal_check_fires_under_optimize(script, message):

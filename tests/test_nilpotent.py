@@ -184,6 +184,15 @@ def test_cyclic_subgroup(g22):
     assert not h.is_trivial()
 
 
+def test_subgroup_closes_under_products(g23):
+    # the rows alone miss [x1, x2]; only the probe x2 x1 brings it in
+    assert subgroup(g23, g23.gens()) == g23.full_subgroup()
+    x1, x2 = g23.gens()
+    h = subgroup(g23, [x1, g23.comm(x1, x2)])
+    assert h.pivots == [0, 2, 3]  # [x1, [x1, x2]] is in, [[x1, x2], x2] is not
+    assert not h.is_normal()
+
+
 def test_trivial_and_full(g22):
     t = g22.trivial_subgroup()
     assert t.is_trivial()
@@ -277,6 +286,16 @@ def test_intersect_idempotent(g23):
     assert intersect_pc(h, h) == h
     assert intersect_pc(h, g23.trivial_subgroup()).is_trivial()
     assert intersect_pc(h, g23.full_subgroup()) == h
+
+
+def test_intersection_refuses_a_non_normal_operand(g22):
+    # <x1> is not normal: conjugating x1 by x2 brings in [x1, x2]
+    h = subgroup(g22, [g22.gen(0)])
+    full = g22.full_subgroup()
+    with pytest.raises(ValueError, match="the first one is not"):
+        intersect_pc(h, full)
+    with pytest.raises(ValueError, match="the second one is not"):
+        intersect_pc(full, h)
 
 
 # -- quotients -------------------------------------------------------------

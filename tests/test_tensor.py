@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import one_orientation_presentation, tensor_relators_exhaustive
+from picolim import finite
 from picolim.abelian import AbelianInvariants
 from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import NormalTuple
@@ -149,6 +150,17 @@ def test_tensor_square_kernels(name, t_order, image_order, invariants):
     assert out["invariants"] == invariants
     assert out["verified"]
     assert out["kernel_abelian"]
+
+
+def test_kernel_of_a_group_too_large_to_realize(monkeypatch):
+    tp = build_T(_full_tuple("S3", 2))
+    monkeypatch.setattr(finite, "ORDER_CAP", 5)  # |T| = 6
+    out = kernel_of_boundary(tp)
+    assert (out["t_order"], out["image_order"], out["kernel_order"]) == (6, 3, 2)
+    assert out["invariants"] == AbelianInvariants(0, (2,))
+    assert out["kernel_abelian"] is None
+    assert out["verified"] is False
+    assert out["notes"] == ["T too large to realize; invariants not cross-checked"]
 
 
 def test_tensor_triple_order2():

@@ -200,7 +200,8 @@ def test_level_search_matches_depth_first_walk(n, c):
     assert set(gens) == set(ref_gens)
 
 
-def _count_calls(monkeypatch, name, cfg):
+def _count_calls(monkeypatch, name, run):
+    """Calls of the PcGroup method name while run() runs."""
     count = [0]
     method = getattr(PcGroup, name)
 
@@ -209,7 +210,7 @@ def _count_calls(monkeypatch, name, cfg):
         return method(self, *args)
 
     monkeypatch.setattr(PcGroup, name, counting)
-    _denominator_generators(cfg)
+    run()
     return count[0]
 
 
@@ -218,14 +219,26 @@ def test_level_search_commutator_count(monkeypatch, n, c, calls):
     # one commutator per distinct partial commutator, signed letter and
     # level, except at the last level where no tuple reaching it covers
     # every letter
-    assert _count_calls(monkeypatch, "comm", WuConfiguration(n, c)) == calls
+    cfg = WuConfiguration(n, c)
+    assert _count_calls(monkeypatch, "comm", lambda: _denominator_generators(cfg)) == calls
 
 
 @pytest.mark.parametrize("n,c,calls", [(2, 6, 1370), (3, 4, 755)])
 def test_level_search_collection_count(monkeypatch, n, c, calls):
     # commutators on the abelian layers are summed from kept commutators
     # of basis elements, so few of them are collected
-    assert _count_calls(monkeypatch, "_product", WuConfiguration(n, c)) == calls
+    cfg = WuConfiguration(n, c)
+    assert _count_calls(monkeypatch, "_product", lambda: _denominator_generators(cfg)) == calls
+
+
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 13576), (3, 4, 199)])
+def test_denominator_closure_collection_count(monkeypatch, n, c, calls):
+    # one product probe per pair of igs rows; probing every pair in both
+    # orders, with inverses and squares, collected 14,779 and 310 times
+    cfg = WuConfiguration(n, c)
+    gens, _ = _denominator_generators(cfg)
+    closure = _count_calls(monkeypatch, "_product", lambda: normal_closure_pc(cfg.group(), gens))
+    assert closure == calls
 
 
 def test_longer_tuples_vanish_in_truncation():
