@@ -113,9 +113,6 @@ class HallBasis:
     def weight(self, idx):
         return self.weights[idx]
 
-    def word(self, idx):
-        return self.elements[idx][0]
-
     def bracket_text(self, idx, names):
         """Nested commutator notation over generator names."""
         word, weight, bracket = self.elements[idx]

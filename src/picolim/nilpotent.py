@@ -8,15 +8,15 @@ into a dense exponent list and each syllable a_j^f of the right factor is
 pushed into it.  A push lifts out the entries past j that do not commute
 with a_j, adds f at j, and pushes the lifted entries back as
 a_k^g a_j^f = a_j^f (a_j^-f a_k a_j^f)^g.  The conjugates a_j^-f a_k a_j^f
-come from a memoized table whose entries are computed once in the
-truncated power-series embedding x_i -> 1 + X_i.  Exponent extraction from
-a series is exact because the expansion of a Lyndon bracketing is
-unitriangular: its lex-least monomial of lowest degree is the Lyndon word
-itself, with coefficient 1.  Products, inverses, commutators and
-conjugates each collect into one dense list, and results are packed back
-into tuples whose pairs are shared through one table on the group.  A
-commutator [x, y] with x in an abelian layer gamma_d, 2d > c, is linear
-in x and is summed from the kept commutators of basis elements with y.
+come from a memoized table whose entries are computed once in the graded
+power-series embedding x_i -> 1 + X_i (magnus.ConjugationTable).
+Products, inverses, commutators and conjugates each collect into one
+dense list, and results are packed back into tuples whose pairs are
+shared through one table on the group.  Two factors whose leads' weights
+sum past c commute syllable by syllable, so their product adds exponents.
+A commutator [x, y], or the image of x under an endomorphism, with x in
+an abelian layer gamma_d, 2d > c, is linear in x and is summed from the
+kept values on basis elements.
 
 Subgroups carry an induced generating sequence (igs): one row per leading
 basis index, leading exponents positive, rows Hermite-reduced above later
@@ -39,7 +39,7 @@ from itertools import compress
 from .abelian import AbelianInvariants, _bezout
 from .errors import InternalError
 from .hall import HallBasis
-from .magnus import TruncatedAlgebra
+from .magnus import ConjugationTable
 from .words import valid_generator_name
 
 IDENTITY = ()
@@ -71,8 +71,7 @@ class PcGroup:
                 raise ValueError(f"duplicate generator name {name!r}")
         self.gen_names = tuple(names)
         self._name_to_index = {n: i for i, n in enumerate(names)}
-        self.alg = TruncatedAlgebra(self.rank, self.cls)
-        self._series = {}
+        self._table = ConjugationTable(basis)
         self._conj = {}
         self._pow_cache = {}
         self._lifted = {}
@@ -100,10 +99,25 @@ class PcGroup:
         return u[0] if u else None
 
     def mul(self, u, v):
+        """Normal form of u v.
+
+        If the weights du and dv of the leads of u and v sum past c, every
+        syllable a_i of u commutes with every syllable a_k of v: as the
+        basis is ordered by weight, weight(i) + weight(k) >= du + dv > c,
+        and [a_i, a_k] lies in gamma_{c+1} = 1.  Both factors are normal
+        forms, so the normal form of u v merges their syllables by index
+        and adds the exponents at shared indices, with no collection."""
         if not u:
             return v
         if not v:
             return u
+        wt = self._wt
+        if wt[u[0][0]] + wt[v[0][0]] > self.cls:
+            e = dict(u)
+            for i, x in v:
+                e[i] = e.get(i, 0) + x
+            pairs = self._pairs
+            return tuple([pairs[(i, e[i])] for i in sorted(e) if e[i]])
         return self._product((u, v))
 
     def _product(self, factors):
@@ -231,49 +245,34 @@ class PcGroup:
                 e[i] += f * g
         return self._pack(e)
 
+    def image(self, u, images):
+        """Normal form of phi(u) for the endomorphism phi with
+        phi(a_k) = images[k].
+
+        gamma_d is verbal, so phi maps it into itself.  If u leads at
+        weight d with 2d > c, u and its image lie in the abelian gamma_d
+        (see comm), where products add exponents, so phi(u) is the sum of
+        e_k phi(a_k) over the syllables (k, e_k) of u."""
+        if not u:
+            return IDENTITY
+        if 2 * self._wt[u[0][0]] > self.cls:
+            e = [0] * self.basis.size
+            for k, f in u:
+                for i, g in images[k]:
+                    e[i] += f * g
+            return self._pack(e)
+        return self._product((IDENTITY, *[self.pow(images[k], f) for k, f in u]))
+
     def conj_pow(self, k, j, f):
-        """Normal form of a_j^-f a_k a_j^f, from the series embedding.
+        """Normal form of a_j^-f a_k a_j^f, from the graded conjugation table.
 
         _push asks only for f != 0 and weight(k) + weight(j) <= c; every
         other a_k commutes with a_j^f."""
         key = (k, j, f)
         got = self._conj.get(key)
         if got is None:
-            alg = self.alg
-            aj = alg.pow(self.series_of_basis(j), f)
-            aj_inv = alg.inv(aj)
-            got = self.series_to_element(alg.mul(alg.mul(aj_inv, self.series_of_basis(k)), aj))
-            self._conj[key] = got
+            got = self._conj[key] = self._table.conjugate(k, j, f)
         return got
-
-    # -- series bridge -----------------------------------------------------
-
-    def series_of_basis(self, idx):
-        got = self._series.get(idx)
-        if got is None:
-            word, weight, bracket = self.basis.elements[idx]
-            if weight == 1:
-                got = self.alg.gen(bracket)
-            else:
-                left, right = bracket
-                got = self.alg.comm(self.series_of_basis(left), self.series_of_basis(right))
-            self._series[idx] = got
-        return got
-
-    def series_to_element(self, series):
-        """Exact exponent extraction, basis element by basis element."""
-        if series.get((), 0) != 1:
-            raise InternalError("group image must have constant term 1")
-        alg = self.alg
-        out = []
-        for idx in range(self.basis.size):
-            e = series.get(self.basis.word(idx), 0)
-            if e:
-                out.append((idx, e))
-                series = alg.mul(alg.pow(self.series_of_basis(idx), -e), series)
-        if series != alg.one():
-            raise InternalError("series is not the image of a group element")
-        return tuple(out)
 
     # -- words -------------------------------------------------------------
 
@@ -418,12 +417,14 @@ def _canonical(G, rows):
 
 
 class PcSubgroup:
-    """Subgroup of a PcGroup held as a canonical igs."""
+    """Subgroup of a PcGroup held as a canonical igs.  The rows are never
+    changed after construction, so normality is checked once per object."""
 
     def __init__(self, parent, rows):
         self.parent = parent
         self.rows = dict(rows)
         self.pivots = sorted(self.rows)
+        self._normal = None
 
     @property
     def igs(self):
@@ -441,8 +442,10 @@ class PcSubgroup:
 
     def is_normal(self):
         # g S g^-1 <= S forces equality here (max condition)
-        G = self.parent
-        return all(self.contains(G.conj(r, g)) for r in self.igs for g in G.gens())
+        if self._normal is None:
+            G = self.parent
+            self._normal = all(self.contains(G.conj(r, g)) for r in self.igs for g in G.gens())
+        return self._normal
 
     def coords_of(self, u):
         """Exponents of u along the igs rows (error if not a member)."""

@@ -15,6 +15,12 @@ of the basis elements whose Lyndon word contains i, so the n closures of
 y0 .. y_{n-1} meet in the span of the basis elements that contain every
 letter.  <y_-1>^F is the image of <y_{n-1}>^F under the rotation of the
 letters, and the numerator is its one intersection with that span.
+
+The same rotation permutes the tuple trees of the denominator search, so
+only the trees at y_-1 and y_-1^-1 are searched and the rest are their
+images; and only the minimal covering commutators, those formed from a
+prefix that did not yet cover every letter, are closed, since each other
+one lies in the normal closure of its prefix.
 """
 
 from functools import cached_property, reduce
@@ -101,8 +107,11 @@ class WuConfiguration:
             self._closures = (self._rotated(spans[-1]), *spans)
         return self._closures
 
-    def _rotated(self, last):
-        """<y_-1>^F from the igs rows a_k of <y_{n-1}>^F (see closures)."""
+    @cached_property
+    def rotation(self):
+        """The images sigma(a_k) of the basis elements (see closures): a
+        letter goes to the next one, and a basis element to the commutator
+        of the images of its two factors."""
         G = self.group()
         letters = self.letters
         images = []
@@ -112,13 +121,18 @@ class WuConfiguration:
                 images.append(letters[(bracket + 2) % (self.n + 1)])
             else:
                 images.append(G.comm(images[bracket[0]], images[bracket[1]]))
+        return images
+
+    def _rotated(self, last):
+        """<y_-1>^F from the igs rows a_k of <y_{n-1}>^F (see closures)."""
+        G = self.group()
         rows = {}
         for k in reversed(last.pivots):
-            _insert(G, rows, images[k])
+            _insert(G, rows, self.rotation[k])
         out = PcSubgroup(G, _canonical(G, rows))
         # sigma preserves the Hirsch length, and every row of the span has
         # leading exponent 1
-        if len(out.pivots) != len(last.pivots) or not out.contains(letters[0]):
+        if len(out.pivots) != len(last.pivots) or not out.contains(self.letters[0]):
             raise InternalError("the rotated closure of y_{n-1} is not the closure of y_-1")
         return out
 
@@ -162,26 +176,42 @@ def _letter_span(G, letters):
 def _denominator_generators(cfg):
     """Distinct nontrivial left-normed commutators over covering tuples.
 
-    Returns (generators, stats), generators shallowest first.  The tuples
-    are searched level by level: the frontier maps each distinct partial
-    commutator to the multiplicities of the letter sets (coverage bits)
-    of the tuples that reach it, so each is extended once per level by
-    each signed letter, while the stats count tuples as a depth-first
-    walk over them would.  A tuple is abandoned once its partial
-    commutator collapses, since extending the identity only yields the
-    identity again.  At the last level a commutator is formed only if some
-    tuple that reaches it covers every letter; its nodes are counted first.
+    Returns (generators, minimal, stats).  The minimal generators are those
+    formed, for some tuple, from a partial commutator that did not yet
+    cover every letter; wu_denominator needs only them.
+
+    Only the tuples that start with y_-1 or y_-1^-1 are searched.  The
+    rotation sigma (see WuConfiguration.closures) is an automorphism of
+    the truncation that permutes y_-1, y0, ..., y_{n-1} cyclically and
+    keeps signs.  It maps the left-normed commutator of a tuple to that
+    of the rotated tuple, the identity to the identity, and the letter
+    set of a tuple onto that of its image, so it maps the tuple tree at
+    a first letter x onto the tree at sigma(x) node by node: abandoned
+    nodes, covering tuples, minimal generators and the commutators left
+    out at the last level all correspond.  sigma^i takes y_-1^{+-1} to
+    y_{i-1}^{+-1}, so the trees at y_-1^{+-1} and their images under
+    sigma, ..., sigma^n are the trees at all 2(n+1) signed letters, once
+    each.  Hence nodes and covering_nontrivial are n+1 times those of
+    the two trees searched, and the generators, and the minimal ones,
+    are the sigma^i-images of those found in them.
+
+    The tuples are searched level by level: the frontier maps each
+    distinct partial commutator to the multiplicities of the letter sets
+    (coverage bits) of the tuples that reach it, so each is extended once
+    per level by each signed letter, while the stats count tuples as a
+    depth-first walk over them would.  A tuple is abandoned once its
+    partial commutator collapses, since extending the identity only
+    yields the identity again.  At the last level a commutator is formed
+    only if some tuple that reaches it covers every letter; its nodes are
+    counted first.
     """
     G = cfg.group()
     signed = cfg.signed_letters()
     full = (1 << (cfg.n + 1)) - 1
-    gens = []
-    seen = set()
+    gens = {}
     stats = {"nodes": 0, "covering_nontrivial": 0}
-    frontier = {}
-    for bit, elt in signed:
-        covers = frontier.setdefault(elt, {})
-        covers[bit] = covers.get(bit, 0) + 1
+    # the two signed letters y_-1 and y_-1^-1 come first
+    frontier = {elt: {bit: 1} for bit, elt in signed[:2]}
     for depth in range(1, cfg.class_bound):
         last = depth + 1 == cfg.class_bound
         nxt_frontier = {}
@@ -200,20 +230,35 @@ def _denominator_generators(cfg):
                     cov = cover | bit
                     if cov == full:
                         stats["covering_nontrivial"] += m
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            gens.append(nxt)
+                        gens[nxt] = gens.get(nxt, False) or cover != full
                     if not last:
                         nxt_covers[cov] = nxt_covers.get(cov, 0) + m
         frontier = nxt_frontier
-    return gens, stats
+    stats = {key: (cfg.n + 1) * count for key, count in stats.items()}
+    orbit = list(gens.items())
+    for _ in range(cfg.n):
+        orbit = [(G.image(u, cfg.rotation), is_min) for u, is_min in orbit]
+        for u, is_min in orbit:
+            gens[u] = gens.get(u, False) or is_min
+    return list(gens), [u for u, is_min in gens.items() if is_min], stats
 
 
 def wu_denominator(cfg):
-    """Normal closure of the covering left-normed commutators."""
-    gens, stats = _denominator_generators(cfg)
+    """Normal closure of the covering left-normed commutators, from the
+    minimal ones alone.
+
+    A generator [u, x] = u (x u^-1 x^-1) lies in the normal closure of u.
+    Let g be a generator that is not minimal, and take a shortest covering
+    tuple that gives it, g = [u, x].  The prefix of that tuple covers
+    every letter, and u is not trivial, as the search abandons trivial
+    prefixes, so u is a generator given by a shorter tuple.  By induction
+    on that length, u and hence g lie in the normal closure of the
+    minimal generators.  The induction starts, since no prefix of length
+    1 covers the n+1 >= 2 letters.
+    """
+    gens, minimal, stats = _denominator_generators(cfg)
     cfg._den_stats = dict(stats, distinct_generators=len(gens))
-    return normal_closure_pc(cfg.group(), gens)
+    return normal_closure_pc(cfg.group(), minimal)
 
 
 def wu_numerator(cfg):

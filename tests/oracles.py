@@ -6,12 +6,14 @@ them is needed to compute an answer.
 
 import csv
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
 from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
+from picolim.errors import InternalError
 from picolim.finite import FinSubgroup, _coset_labels
+from picolim.hall import HallBasis
 from picolim.nilpotent import IDENTITY, intersect_pc, normal_closure_pc, subgroup
 from picolim.presentations import Presentation, free_reduce
 from picolim.tensor import _block_subgroup, _ordered_partitions, _three_block_partitions
@@ -100,12 +102,125 @@ def commutation_table(G, j, i):
     return G.comm(G.basis_element(j), G.basis_element(i))
 
 
+class TruncatedAlgebra:
+    """Truncated free associative algebra over the integers, with series
+    as dicts from monomials (tuples of letters) to nonzero coefficients:
+    the ungraded reference for magnus.GradedAlgebra."""
+
+    def __init__(self, rank, cls):
+        self.rank = rank
+        self.cls = cls
+
+    def one(self):
+        return {(): 1}
+
+    def gen(self, i):
+        return {(): 1, (i,): 1}
+
+    def mul(self, f, g):
+        out = {}
+        for m1, c1 in f.items():
+            for m2, c2 in g.items():
+                if len(m1) + len(m2) > self.cls:
+                    continue
+                m = m1 + m2
+                c = out.get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
+
+    def inv(self, f):
+        """Alternating geometric series of f - 1."""
+        if f.get((), 0) != 1:
+            raise InternalError("inverse needs constant term 1")
+        u = dict(f)
+        del u[()]
+        out = self.one()
+        power = self.one()
+        for k in range(1, self.cls + 1):
+            power = self.mul(power, u)
+            for m, c in power.items():
+                c = out.get(m, 0) + (-1) ** k * c
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
+
+    def pow(self, f, e):
+        if e < 0:
+            return self.pow(self.inv(f), -e)
+        out = self.one()
+        for _ in range(e):
+            out = self.mul(out, f)
+        return out
+
+    def comm(self, f, g):
+        return self.mul(self.mul(self.mul(f, g), self.inv(f)), self.inv(g))
+
+
+def graded_to_monomials(alg, f):
+    """A graded series (magnus.GradedAlgebra) as a dict from monomials to
+    coefficients, decoding each base-r code into its letters."""
+    out = {}
+    for d, part in enumerate(f):
+        for m, c in part.items():
+            letters = []
+            for _ in range(d):
+                m, x = divmod(m, alg.rank)
+                letters.append(x)
+            out[tuple(reversed(letters))] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def basis_series(rank, cls, idx):
+    """Series of the Hall basis element idx: its generator, or the
+    commutator of the series of its two factors."""
+    alg = TruncatedAlgebra(rank, cls)
+    _, weight, bracket = _hall_basis(rank, cls).elements[idx]
+    if weight == 1:
+        return alg.gen(bracket)
+    left, right = bracket
+    return alg.comm(basis_series(rank, cls, left), basis_series(rank, cls, right))
+
+
+@lru_cache(maxsize=None)
+def _hall_basis(rank, cls):
+    return HallBasis(rank, cls)
+
+
 def element_to_series(G, u):
     """Image of a pc element in the truncated power-series algebra."""
-    out = G.alg.one()
+    alg = TruncatedAlgebra(G.rank, G.cls)
+    out = alg.one()
     for i, e in u:
-        out = G.alg.mul(out, G.alg.pow(G.series_of_basis(i), e))
+        out = alg.mul(out, alg.pow(basis_series(G.rank, G.cls, i), e))
     return out
+
+
+def series_to_element(G, series):
+    """Exponent extraction basis element by basis element: the coefficient
+    of each Lyndon word, then that power divided out."""
+    alg = TruncatedAlgebra(G.rank, G.cls)
+    out = []
+    for idx in range(G.basis.size):
+        e = series.get(G.basis.elements[idx][0], 0)
+        if e:
+            out.append((idx, e))
+            series = alg.mul(alg.pow(basis_series(G.rank, G.cls, idx), -e), series)
+    if series != alg.one():
+        raise InternalError("series is not the image of a group element")
+    return tuple(out)
+
+
+def conj_pow_by_series(G, k, j, f):
+    """a_j^-f a_k a_j^f through the ungraded series embedding."""
+    alg = TruncatedAlgebra(G.rank, G.cls)
+    aj = alg.pow(basis_series(G.rank, G.cls, j), f)
+    return series_to_element(G, alg.mul(alg.mul(alg.inv(aj), basis_series(G.rank, G.cls, k)), aj))
 
 
 def project_element(target, u):
@@ -200,7 +315,7 @@ def consistency_report(G, trials=64, seed=11):
         if G.mul(u, G.inv(u)) != IDENTITY:
             failures.append(("inverse", u))
         lhs = element_to_series(G, G.mul(u, v))
-        rhs = G.alg.mul(element_to_series(G, u), element_to_series(G, v))
+        rhs = TruncatedAlgebra(G.rank, G.cls).mul(element_to_series(G, u), element_to_series(G, v))
         if lhs != rhs:
             failures.append(("series", u, v))
     return failures

@@ -85,7 +85,7 @@ def test_hall_basis_bracket_structure():
         else:
             left, right = bracket
             assert left < idx and right < idx
-            assert b.word(left) + b.word(right) == word
+            assert b.elements[left][0] + b.elements[right][0] == word
 
 
 def test_bracket_text():

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from oracles import (
+    TruncatedAlgebra,
     commutation_table,
     consistency_report,
     exponents,
+    graded_to_monomials,
     project_element,
     project_subgroup,
     subgroup_to_csv,
 )
 from picolim.abelian import AbelianInvariants
-from picolim.magnus import TruncatedAlgebra
+from picolim.magnus import GradedAlgebra
 from picolim.nilpotent import (
     central_quotient_invariants,
     commutator_subgroup_pc,
@@ -44,31 +46,50 @@ def _random_word(rng, names, length):
 
 
 def test_algebra_units():
-    alg = TruncatedAlgebra(2, 3)
+    alg = GradedAlgebra(2, 3)
     x, y = alg.gen(0), alg.gen(1)
     assert alg.mul(alg.one(), x) == x
     assert alg.mul(x, alg.inv(x)) == alg.one()
     assert alg.mul(alg.inv(y), y) == alg.one()
 
 
-def test_algebra_associative_random():
-    alg = TruncatedAlgebra(2, 4)
-    rng = random.Random(2)
+def _random_series(alg, rng, count):
     els = [alg.one(), alg.gen(0), alg.gen(1)]
-    for _ in range(8):
+    for _ in range(count):
         a, b = rng.choice(els), rng.choice(els)
         els.append(alg.mul(a, alg.inv(b)))
+    return els
+
+
+def test_algebra_associative_random():
+    alg = GradedAlgebra(2, 4)
+    rng = random.Random(2)
+    els = _random_series(alg, rng, 8)
     for _ in range(40):
         a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
         assert alg.mul(alg.mul(a, b), c) == alg.mul(a, alg.mul(b, c))
 
 
 def test_algebra_pow():
-    alg = TruncatedAlgebra(2, 3)
+    alg = GradedAlgebra(2, 3)
     x = alg.gen(0)
     assert alg.pow(x, 3) == alg.mul(alg.mul(x, x), x)
     assert alg.pow(x, -2) == alg.inv(alg.mul(x, x))
     assert alg.pow(x, 0) == alg.one()
+
+
+@pytest.mark.parametrize("rank,cls", [(2, 4), (3, 3)])
+def test_graded_algebra_matches_monomial_algebra(rank, cls):
+    # the graded product, inverse and power against the tuple-keyed oracle
+    alg, ref = GradedAlgebra(rank, cls), TruncatedAlgebra(rank, cls)
+    rng = random.Random(5)
+    els = _random_series(alg, rng, 10)
+    for _ in range(30):
+        a, b = rng.choice(els), rng.choice(els)
+        ma, mb = graded_to_monomials(alg, a), graded_to_monomials(alg, b)
+        assert graded_to_monomials(alg, alg.mul(a, b)) == ref.mul(ma, mb)
+        assert graded_to_monomials(alg, alg.inv(a)) == ref.inv(ma)
+        assert graded_to_monomials(alg, alg.pow(a, -3)) == ref.pow(ma, -3)
 
 
 # -- collection ------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     collected_comm,
+    conj_pow_by_series,
     denominator_generators_collected,
     denominator_generators_depth_first,
     left_normed_commutator,
@@ -13,7 +14,7 @@ from oracles import (
     wu_numerator_by_closure,
 )
 from picolim.abelian import AbelianInvariants
-from picolim.nilpotent import IDENTITY, PcGroup, free_nilpotent, normal_closure_pc
+from picolim.nilpotent import IDENTITY, PcGroup, PcSubgroup, free_nilpotent, normal_closure_pc
 from picolim.presentations import parse_word
 from picolim.words import Word, hopf_element
 from picolim.wu import (
@@ -150,10 +151,19 @@ def test_letter_closures_match_normal_closures(n, c):
 
 @pytest.mark.parametrize("n,c", WITH_N4)
 def test_level_search_matches_collected_search(n, c):
-    # same generators in the same order, and the same stats, with no
-    # commutator skipped at the last level and every commutator collected
-    got = _denominator_generators(WuConfiguration(n, c))
-    assert got == denominator_generators_collected(WuConfiguration(n, c))
+    # the search over the rotation orbit of y_-1 gives the stats and the
+    # distinct generators of the search over every first letter, with
+    # every commutator collected, and its minimal generators the same
+    # normal closure
+    gens, minimal, stats = _denominator_generators(WuConfiguration(n, c))
+    ref = WuConfiguration(n, c)
+    ref_gens, ref_stats = denominator_generators_collected(ref)
+    assert stats == ref_stats
+    assert len(gens) == len(set(gens))
+    assert set(gens) == set(ref_gens)
+    assert set(minimal) <= set(gens)
+    G = ref.group()
+    assert normal_closure_pc(G, minimal) == normal_closure_pc(G, ref_gens)
 
 
 @pytest.mark.parametrize("n,c", WITH_N4)
@@ -165,24 +175,25 @@ def test_basis_elements_are_commutators_of_their_factors(n, c):
             assert G.comm(G.basis_element(u), G.basis_element(v)) == ((k, 1),)
 
 
+def _random_element(G, rng, min_weight):
+    """Product of a few basis powers of weight >= min_weight, collected."""
+    pool = [k for k in range(G.basis.size) if G.basis.weights[k] >= min_weight]
+    u = IDENTITY
+    for _ in range(rng.randrange(1, 6)):
+        u = G._product((u, ((rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3))),)))
+    return u
+
+
 @pytest.mark.parametrize("n,c", [(2, 6), (3, 5)])
 def test_comm_on_abelian_layers_matches_collection(n, c):
     rng = random.Random(17)
     G = free_nilpotent(n, c)
     wt = G.basis.weights
-
-    def rand_el(min_weight):
-        pool = [k for k in range(G.basis.size) if wt[k] >= min_weight]
-        u = IDENTITY
-        for _ in range(rng.randrange(1, 6)):
-            u = G.mul(u, ((rng.choice(pool), rng.choice((-3, -2, -1, 1, 2, 3))),))
-        return u
-
     abelian = c // 2 + 1
     checked = 0
     for _ in range(60):
-        x = rand_el(rng.randrange(abelian, c + 1))
-        y = rand_el(rng.randrange(1, c + 1))
+        x = _random_element(G, rng, rng.randrange(abelian, c + 1))
+        y = _random_element(G, rng, rng.randrange(1, c + 1))
         if not x:
             continue
         assert 2 * wt[x[0][0]] > c
@@ -191,9 +202,51 @@ def test_comm_on_abelian_layers_matches_collection(n, c):
     assert checked > 40
 
 
+@pytest.mark.parametrize("n,c", [(2, 6), (3, 5)])
+def test_mul_of_commuting_leads_matches_collection(n, c):
+    # leads whose weights sum past c: the exponents are added, with no
+    # collection
+    rng = random.Random(19)
+    G = free_nilpotent(n, c)
+    wt = G.basis.weights
+    checked = 0
+    for _ in range(80):
+        du = rng.randrange(1, c + 1)
+        u = _random_element(G, rng, du)
+        v = _random_element(G, rng, max(1, c + 1 - du))
+        if u and v and wt[u[0][0]] + wt[v[0][0]] > c:
+            assert G.mul(u, v) == G._product((u, v))
+            checked += 1
+    assert checked > 40
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (3, 5)])
+def test_rotation_on_abelian_layers_matches_collection(n, c):
+    cfg = WuConfiguration(n, c)
+    G = cfg.group()
+    rng = random.Random(23)
+    for _ in range(30):
+        u = _random_element(G, rng, c // 2 + 1)
+        images = [G.pow(cfg.rotation[k], f) for k, f in u]
+        assert G.image(u, cfg.rotation) == G._product((IDENTITY, *images))
+
+
+@pytest.mark.parametrize("n,c", [(2, 6), (3, 4), (3, 5), (4, 5)])
+def test_conj_pow_matches_series_oracle(n, c):
+    # every conjugate the collector can ask for, from the graded table and
+    # from the tuple-keyed series embedding
+    G = free_nilpotent(n, c)
+    wt = G.basis.weights
+    for j in range(G.basis.size):
+        for k in range(j + 1, G.basis.size):
+            if wt[k] + wt[j] <= c:
+                for f in (1, -1, 2, -2):
+                    assert G.conj_pow(k, j, f) == conj_pow_by_series(G, k, j, f)
+
+
 @pytest.mark.parametrize("n,c", ADMITTED)
 def test_level_search_matches_depth_first_walk(n, c):
-    gens, stats = _denominator_generators(WuConfiguration(n, c))
+    gens, _, stats = _denominator_generators(WuConfiguration(n, c))
     ref_gens, ref_stats = denominator_generators_depth_first(WuConfiguration(n, c))
     assert stats == ref_stats
     assert len(gens) == len(set(gens))
@@ -214,31 +267,60 @@ def _count_calls(monkeypatch, name, run):
     return count[0]
 
 
-@pytest.mark.parametrize("n,c,calls", [(2, 6, 9324), (3, 4, 832)])
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 5059), (3, 4, 237)])
 def test_level_search_commutator_count(monkeypatch, n, c, calls):
-    # one commutator per distinct partial commutator, signed letter and
-    # level, except at the last level where no tuple reaching it covers
-    # every letter
+    # one commutator per distinct partial commutator of the trees at
+    # y_-1^{+-1}, signed letter and level, except at the last level where
+    # no tuple reaching it covers every letter, plus the commutators of the
+    # rotation; the search over every first letter formed 9,324 and 832
     cfg = WuConfiguration(n, c)
     assert _count_calls(monkeypatch, "comm", lambda: _denominator_generators(cfg)) == calls
 
 
-@pytest.mark.parametrize("n,c,calls", [(2, 6, 1370), (3, 4, 755)])
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 532), (3, 4, 318)])
 def test_level_search_collection_count(monkeypatch, n, c, calls):
     # commutators on the abelian layers are summed from kept commutators
-    # of basis elements, so few of them are collected
+    # of basis elements, and rotated generators on them from the images
+    # of basis elements, so few of them are collected; the search over
+    # every first letter collected 1,370 and 755 times
     cfg = WuConfiguration(n, c)
     assert _count_calls(monkeypatch, "_product", lambda: _denominator_generators(cfg)) == calls
 
 
-@pytest.mark.parametrize("n,c,calls", [(2, 6, 13576), (3, 4, 199)])
+@pytest.mark.parametrize("n,c,calls", [(2, 6, 210), (3, 4, 23)])
 def test_denominator_closure_collection_count(monkeypatch, n, c, calls):
-    # one product probe per pair of igs rows; probing every pair in both
-    # orders, with inverses and squares, collected 14,779 and 310 times
+    # only the minimal generators are closed, with one product probe per
+    # pair of igs rows; closing every generator collected 13,576 and 199
+    # times
     cfg = WuConfiguration(n, c)
-    gens, _ = _denominator_generators(cfg)
-    closure = _count_calls(monkeypatch, "_product", lambda: normal_closure_pc(cfg.group(), gens))
+    _, minimal, _ = _denominator_generators(cfg)
+    closure = _count_calls(monkeypatch, "_product", lambda: normal_closure_pc(cfg.group(), minimal))
     assert closure == calls
+
+
+def test_normality_is_checked_once_per_subgroup(monkeypatch):
+    # intersect_pc checks both operands for normality, and the result is
+    # kept on each subgroup: the conjugations is_normal makes fell from
+    # 2,220 to 492
+    conj, is_normal = PcGroup.conj, PcSubgroup.is_normal
+    inside, count = [0], [0]
+
+    def counting_conj(self, x, g):
+        count[0] += inside[0]
+        return conj(self, x, g)
+
+    def counting_is_normal(self):
+        inside[0] += 1
+        try:
+            return is_normal(self)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(PcGroup, "conj", counting_conj)
+    monkeypatch.setattr(PcSubgroup, "is_normal", counting_is_normal)
+    equal, _ = check_equality_13(3, 4)
+    assert equal
+    assert count[0] == 492
 
 
 def test_longer_tuples_vanish_in_truncation():
