@@ -48,9 +48,6 @@ class AbelianInvariants:
     def to_json_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def __eq__(self, other):
         return (
             isinstance(other, AbelianInvariants)

@@ -142,10 +142,6 @@ def _resolve(name):
     return name
 
 
-def catalog_presentation(name):
-    return parse_presentation(_registry[_resolve(name)][1])
-
-
 def catalog_group(name):
     key = _resolve(name)
     if key not in _cache:

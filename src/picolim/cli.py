@@ -14,8 +14,10 @@ the `gens: ... | rels: ...` DSL, or a path to a file holding one.
 Subgroups are named by specs (trivial, full, center, derived, catalog
 names like A3, {words} for a generated subgroup, ncl{words} for a normal
 closure).  The coset limit is set by --limit on the verbs that enumerate
-cosets; the tensor symbol budget can be raised or lowered without code
-changes through PICOLIM_SYMBOL_BUDGET.
+cosets, with the default coset.COSET_LIMIT.  Every other budget is a
+constant of the module it bounds (words.LETTER_BUDGET,
+hall.BASIS_BUDGET, finite.ORDER_CAP, tensor.RELATOR_BUDGET); no
+environment variable changes any of them.
 """
 
 import argparse
@@ -35,15 +37,15 @@ from .colimit import (
     search_disconnected_triple,
     witness_json,
 )
-from .coset import todd_coxeter
+from .coset import COSET_LIMIT, todd_coxeter
 from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
 from .presentations import parse_presentation, parse_word
-from .tensor import SYMBOL_BUDGET, build_T, kernel_of_boundary
+from .tensor import build_T, kernel_of_boundary
 from .words import hopf, render_word
 from .wu import WuConfiguration, braid_check, membership_check, wu_report
 
-SCHEMA = 1
+SCHEMA = 2
 
 # exit code, JSON status and standard-error label of each refusal
 _FAILURES = {
@@ -60,11 +62,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _symbol_budget():
-    env = os.environ.get("PICOLIM_SYMBOL_BUDGET")
-    return SYMBOL_BUDGET if env is None else int(env)
 
 
 def _load_tuple(args):
@@ -203,7 +200,7 @@ def _cmd_h3check(args):
 
 def _cmd_tensor(args):
     group, subs = _load_tuple(args)
-    tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
+    tp = build_T(NormalTuple(group, subs))
     payload = {
         "verb": "tensor",
         "symbols": len(tp.symbols),
@@ -218,7 +215,7 @@ def _cmd_tensor(args):
 
 def _cmd_kernel(args):
     group, subs = _load_tuple(args)
-    tp = build_T(NormalTuple(group, subs), symbol_budget=_symbol_budget())
+    tp = build_T(NormalTuple(group, subs))
     result = kernel_of_boundary(tp, limit=args.limit, strategy=args.strategy)
     payload = dict(result, verb="kernel", invariants=result["invariants"].to_json_dict())
     return _emit(args, payload)
@@ -304,7 +301,7 @@ def _build_parser():
     def common(p, limit=True, group=True, group_required=True):
         p.add_argument("--json", action="store_true", help="versioned JSON output")
         if limit:
-            p.add_argument("--limit", type=int, default=1_000_000,
+            p.add_argument("--limit", type=int, default=COSET_LIMIT,
                            help="coset enumeration limit")
         if group:
             p.add_argument("--group", required=group_required, default=None,

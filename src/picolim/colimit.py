@@ -29,8 +29,9 @@ does not cover.
 """
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
+from .catalog import catalog_group, groups_of_order_at_most
 from .errors import ConnectivityError, InternalError
 from .finite import FiniteGroup
 from .nilpotent import free_nilpotent, normal_closure_pc
@@ -57,10 +58,8 @@ class NormalTuple:
         return len(self.subgroups)
 
     def subtuple(self, omit):
-        t = object.__new__(NormalTuple)
-        t.ambient = self.ambient
-        t.subgroups = self.subgroups[:omit] + self.subgroups[omit + 1:]
-        return t
+        # both engines keep normality on the subgroup, so the check is a lookup
+        return NormalTuple(self.ambient, self.subgroups[:omit] + self.subgroups[omit + 1:])
 
 
 def quotient_invariants(A, B):
@@ -97,9 +96,6 @@ class Report:
             "numerator": self.numerator,
             "denominator": self.denominator,
             "invariants": None if self.invariants is None else self.invariants.to_json_dict(),
-            # the key belongs to schema 1; no formula reports a finding
-            # (pi_2_colimit_n3's quotient is always abelian)
-            "finding": None,
             "notes": self.notes,
         }
 
@@ -188,10 +184,12 @@ def witness_json(witness):
 
 
 def check_hypothesis(t):
-    """Connectivity of every (n-1)-subtuple; transcript for reporting."""
+    """Connectivity of every (n-1)-subtuple; transcript for reporting.
+    The one subtuple of a 1-tuple is empty, so connected, and NormalTuple
+    refuses it."""
     transcript = []
     for omit in range(t.n):
-        ok, witness = is_connected_tuple(t.subtuple(omit))
+        ok, witness = is_connected_tuple(t.subtuple(omit)) if t.n > 1 else (True, None)
         transcript.append({
             "omitted": omit + 1,
             "connected": ok,
@@ -302,10 +300,6 @@ def search_disconnected_triple(max_order=16, stop_at_first=True):
     orders, witness).  The connectivity condition is invariant under
     permutations of the tuple, so unordered triples suffice.
     """
-    from itertools import combinations_with_replacement
-
-    from .catalog import catalog_group, groups_of_order_at_most
-
     findings = []
     for name in groups_of_order_at_most(max_order):
         g = catalog_group(name)

@@ -26,6 +26,7 @@ from .presentations import cyclic_reduce, cyclic_words
 
 EMPTY = -1
 LOOKAHEAD_INTERVAL = 100_000
+COSET_LIMIT = 1_000_000  # default limit on definitions, also of --limit
 
 
 class CosetTable:
@@ -257,7 +258,7 @@ def _deduction_relators(relators, ncols):
     return by_col
 
 
-def todd_coxeter(presentation, *, limit=1_000_000, strategy="hlt"):
+def todd_coxeter(presentation, *, limit=COSET_LIMIT, strategy="hlt"):
     """The complete coset table of the trivial subgroup: one coset per
     element of the presented group, closed under all relators.  Raises
     BudgetError when more than `limit` cosets would be defined."""

@@ -36,7 +36,7 @@ its member set.
 import random
 
 from .abelian import AbelianInvariants
-from .coset import schreier_representatives, todd_coxeter
+from .coset import COSET_LIMIT, schreier_representatives, todd_coxeter
 from .errors import BudgetError, InternalError
 
 ORDER_CAP = 20_000
@@ -82,7 +82,7 @@ class FiniteGroup:
         return cls(perms, gen_images, name=name)
 
     @classmethod
-    def from_presentation(cls, presentation, limit=1_000_000, name=None):
+    def from_presentation(cls, presentation, limit=COSET_LIMIT, name=None):
         return cls.from_coset_table(todd_coxeter(presentation, limit=limit), name=name)
 
     def _trace(self, start, cols):
@@ -141,16 +141,6 @@ class FiniteGroup:
             for _ in range(abs(exp) % self.n):
                 out = self.mul(out, step)
         return out
-
-    def is_abelian(self):
-        gens = list(self.gen_images.values())
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
-
-    def abelian_invariants(self):
-        """Invariants of G/[G,G]."""
-        return abelian_invariants_of_quotient(
-            self.full_subgroup(), self.derived_subgroup()
-        )
 
     # -- distinguished subgroups -------------------------------------------
 
@@ -435,9 +425,9 @@ def abelian_invariants_of_quotient(a, b):
     Both conditions are checked on generators of A, which suffices in a
     finite group.  The columns are the images of the generators of A; the
     rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
-    a spanning tree of coset representatives.  A generator that lies in B
-    only adds the unit row e_i.  The result is kept on A, keyed by the
-    members of B; refusals are not kept.
+    the Schreier tree of the cosets under the generators.  A generator that
+    lies in B only adds the unit row e_i.  The result is kept on A, keyed by
+    the members of B; refusals are not kept.
     """
     if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
@@ -458,25 +448,23 @@ def abelian_invariants_of_quotient(a, b):
     if k == 1:
         inv = a._quotients[b.member_set] = AbelianInvariants(0, ())
         return inv
-    gens = a.gens
-    m = len(gens)
-    vec = {0: (0,) * m}
-    rows = []
-    queue = [0]
-    while queue:
-        q = queue.pop()
-        for pos, x in enumerate(gens):
-            s = proj[g.mul(reps[q], x)]
-            step = tuple(e + 1 if t == pos else e for t, e in enumerate(vec[q]))
-            if s not in vec:
-                vec[s] = step
-                queue.append(s)
-            else:
-                row = [u - v for u, v in zip(step, vec[s])]
-                if any(row):
-                    rows.append(row)
-    if len(vec) != k:
+    m = len(a.gens)
+    action = [[proj[g.mul(r, x)] for x in a.gens] for r in reps]
+    tree = schreier_representatives(action)
+    if len(tree) != k - 1:
         raise InternalError("generators fail to span the quotient")
+    vec = [None] * k
+    vec[0] = [0] * m
+    for s, q, pos in tree:
+        vec[s] = vec[q].copy()
+        vec[s][pos] += 1
+    rows = []
+    for q, targets in enumerate(action):
+        for pos, s in enumerate(targets):
+            row = [u - v for u, v in zip(vec[q], vec[s])]
+            row[pos] += 1
+            if any(row):
+                rows.append(row)
     inv = AbelianInvariants.from_relation_matrix(rows, m)
     if inv.order() != k:
         raise InternalError("quotient order mismatch after Smith reduction")

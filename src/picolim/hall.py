@@ -110,9 +110,6 @@ class HallBasis:
         if got != counts:
             raise InternalError("Lyndon word counts disagree with Witt numbers")
 
-    def weight(self, idx):
-        return self.weights[idx]
-
     def bracket_text(self, idx, names):
         """Nested commutator notation over generator names."""
         word, weight, bracket = self.elements[idx]

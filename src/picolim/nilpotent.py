@@ -437,9 +437,6 @@ class PcSubgroup:
         _same_parent(self, other)
         return all(self.contains(r) for r in other.igs)
 
-    def is_trivial(self):
-        return not self.rows
-
     def is_normal(self):
         # g S g^-1 <= S forces equality here (max condition)
         if self._normal is None:

@@ -15,7 +15,7 @@ flat product form; parse(render(p)) == p.
 import re
 
 from .errors import BudgetError, ParseError
-from .words import LETTER_BUDGET, Word, commutator, render_word, valid_generator_name
+from .words import LETTER_BUDGET, NAME, Word, commutator, render_word, valid_generator_name
 
 
 class Presentation:
@@ -197,8 +197,6 @@ def _substitute(rel, image):
     return cyclic_reduce(out)
 
 
-# str.isalpha and str.isdigit would admit the letters and digits of any script
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT = re.compile(r"-[0-9]*|[0-9]+")
 _SPACE = re.compile(r"\s*")
 
@@ -219,7 +217,7 @@ class _Lexer:
             if ch in self.SYMBOLS:
                 self.tokens.append((ch, ch, pos))
                 end = pos + 1
-            elif m := _NAME.match(text, pos):
+            elif m := NAME.match(text, pos):
                 self.tokens.append(("name", m.group(), pos))
                 end = m.end()
             elif m := _INT.match(text, pos):

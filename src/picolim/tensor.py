@@ -12,7 +12,9 @@ crossed module under the diagonal conjugation action on symbols.
 Relators are instantiated exhaustively over the finite element ranges as
 column tuples (symbol i is column 2*i, its inverse 2*i+1) and deduplicated
 after free reduction; identity-element symbols are kept and collapse
-through the biadditive family.  This raw presentation is the
+through the biadditive family.  The relators are counted from the block
+orders before any symbol is made, and a tuple whose count passes
+RELATOR_BUDGET is refused with BudgetError.  This raw presentation is the
 specification.  kernel_of_boundary enumerates T by coset enumeration of
 its Tietze reduction (presentations.tietze), checks that every raw
 relator holds in the reduced table, rewrites the kernel through a
@@ -24,7 +26,9 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .abelian import AbelianInvariants
+from .colimit import NormalTuple
 from .coset import (
+    COSET_LIMIT,
     coset_table_from_action,
     schreier_representatives,
     schreier_rewrite_matrix,
@@ -34,7 +38,9 @@ from .errors import BudgetError, InternalError
 from .finite import FiniteGroup, abelian_invariants_of_quotient
 from .presentations import Presentation, free_reduce, tietze
 
-SYMBOL_BUDGET = 100_000
+# relators before deduplication; the largest full tuple of a catalog group
+# under it is the full pair of C22, which counts 959,288
+RELATOR_BUDGET = 1_000_000
 
 
 class TensorSymbol(NamedTuple):
@@ -129,22 +135,20 @@ def _three_block_partitions(n):
     return out
 
 
-def build_T(t, symbol_budget=SYMBOL_BUDGET):
+def build_T(t):
     """Tensor presentation of a NormalTuple over the finite engine."""
-    return _build(t, symbol_budget)
+    return _build(t)
 
 
-def build_E(G, M, N, symbol_budget=SYMBOL_BUDGET):
+def build_E(G, M, N):
     """build_T for (G, M, N) plus the square relators x (x) x = 1 for
     nontrivial x in M cap N, at every partition whose two blocks both
     contain x."""
-    from .colimit import NormalTuple
-
     t = NormalTuple(G, (G.full_subgroup(), M, N))
-    return _build(t, symbol_budget, squares=[x for x in M.intersect(N).members if x != 0])
+    return _build(t, squares=[x for x in M.intersect(N).members if x != 0])
 
 
-def _build(t, symbol_budget, squares=None):
+def _build(t, squares=None):
     G = t.ambient
     if not isinstance(G, FiniteGroup):
         raise TypeError("tensor builder needs the finite engine")
@@ -160,10 +164,18 @@ def _build(t, symbol_budget, squares=None):
         for A in parts:
             if A not in blocks:
                 blocks[A] = _block_subgroup(subs, A)
-    count = sum(blocks[A].order() * blocks[B].order() for A, B in partitions)
-    if count > symbol_budget:
+    triples = _three_block_partitions(n)
+    # the relators below before deduplication, from the block orders: for
+    # s symbols, s inverse, |N_A|^2 |N_B| biadditive, |N_U| |N_V| |N_W|
+    # threefold and s^2 conjugation
+    size = {A: block.order() for A, block in blocks.items()}
+    nsym = sum(size[A] * size[B] for A, B in partitions)
+    count = nsym + nsym * nsym + sum(size[A] ** 2 * size[B] for A, B in partitions)
+    count += sum(size[U] * size[V] * size[W] for U, V, W in triples)
+    if count > RELATOR_BUDGET:
         raise BudgetError(
-            f"{count} tensor symbols exceed the budget of {symbol_budget}"
+            f"{nsym} tensor symbols give {count} relators, over the budget of "
+            f"{RELATOR_BUDGET} relators"
         )
     symbols = [
         TensorSymbol(A, B, a, b)
@@ -213,19 +225,18 @@ def _build(t, symbol_budget, squares=None):
                     r2 = column[(A, B, a, b)]
                     emit((left, r2 ^ 1, r1), "biadditive")
 
-    # three-block cyclic relation over U | V | W = {1..n}
-    if n >= 3:
-        for U, V, W in _three_block_partitions(n):
-            UV = tuple(sorted(U + V))
-            WU = tuple(sorted(W + U))
-            VW = tuple(sorted(V + W))
-            for u in blocks[U].members:
-                for v in blocks[V].members:
-                    for x in blocks[W].members:
-                        s1 = column[(UV, W, G.conj(u, G.comm(G.inv(u), v)), G.conj(u, x))]
-                        s2 = column[(WU, V, G.conj(x, G.comm(G.inv(x), u)), G.conj(x, v))]
-                        s3 = column[(VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u))]
-                        emit((s1, s2, s3), "threefold")
+    # three-block cyclic relation over U | V | W = {1..n}, none when n = 2
+    for U, V, W in triples:
+        UV = tuple(sorted(U + V))
+        WU = tuple(sorted(W + U))
+        VW = tuple(sorted(V + W))
+        for u in blocks[U].members:
+            for v in blocks[V].members:
+                for x in blocks[W].members:
+                    s1 = column[(UV, W, G.conj(u, G.comm(G.inv(u), v)), G.conj(u, x))]
+                    s2 = column[(WU, V, G.conj(x, G.comm(G.inv(x), u)), G.conj(x, v))]
+                    s3 = column[(VW, U, G.conj(v, G.comm(G.inv(v), x)), G.conj(v, u))]
+                    emit((s1, s2, s3), "threefold")
 
     # conjugation of one symbol by another goes through the boundary:
     # s1 s2 s1^-1 (^(ds1) s2)^-1 = 1.  Symbol columns are even, so this word
@@ -297,7 +308,7 @@ def crossed_module_check(tp):
     return True, None
 
 
-def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
+def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
     """Order and abelian invariants of the kernel of the boundary T -> G.
 
     T is enumerated from the Tietze reduction of its presentation; each
@@ -377,7 +388,6 @@ def kernel_of_boundary(tp, limit=1_000_000, strategy="hlt"):
         "image_order": image_order,
         "kernel_order": kernel_order,
         "invariants": invariants,
-        "kernel_abelian": None if T is None else True,
         "verified": T is not None,
         "strategy": strategy,
         "notes": notes,

@@ -27,11 +27,13 @@ from .errors import BudgetError
 
 LETTER_BUDGET = 1_000_000  # letters of a word spelled out one at a time
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# the grammar of a generator name, also the DSL lexer's; str.isalpha and
+# str.isdigit would admit the letters and digits of any script
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def valid_generator_name(name):
-    return bool(_NAME_RE.match(name))
+    return NAME.fullmatch(name) is not None
 
 
 def _reduce(syllables):
@@ -61,10 +63,6 @@ class Word:
             if not isinstance(exp, int):
                 raise ValueError(f"exponent {exp!r} is not an int")
         self.syllables = _reduce(syllables)
-
-    @classmethod
-    def identity(cls):
-        return cls()
 
     @classmethod
     def gen(cls, name, exp=1):

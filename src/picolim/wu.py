@@ -340,32 +340,6 @@ def membership_check(w, cfg):
     }
 
 
-def check_equality_13(n, c):
-    """Compare the tuple-generated denominator with the symmetric
-    commutator of the n+1 closures; exact igs comparison."""
-    from .colimit import NormalTuple, symmetric_commutator
-
-    cfg = WuConfiguration(n, c)
-    G = cfg.group()
-    den = cfg.denominator()
-    sym = symmetric_commutator(NormalTuple(G, cfg.closures()))
-    equal = den == sym
-    report = {
-        "n": n,
-        "class": c,
-        "equal": equal,
-        "denominator_rows": len(den.pivots),
-        "symmetric_rows": len(sym.pivots),
-        "denominator_only": [
-            G.element_text(r) for r in den.igs if not sym.contains(r)
-        ],
-        "symmetric_only": [
-            G.element_text(r) for r in sym.igs if not den.contains(r)
-        ],
-    }
-    return equal, report
-
-
 def braid_check(c):
     """Pairwise intersection-equals-commutator check for the three relator
     closures of the 4-string braid presentation, truncated at class c."""

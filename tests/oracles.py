@@ -10,14 +10,17 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
+from picolim import catalog
 from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
+from picolim.colimit import NormalTuple, symmetric_commutator
 from picolim.errors import InternalError
-from picolim.finite import FinSubgroup, _coset_labels
+from picolim.finite import FinSubgroup, _coset_labels, abelian_invariants_of_quotient
 from picolim.hall import HallBasis
 from picolim.nilpotent import IDENTITY, intersect_pc, normal_closure_pc, subgroup
-from picolim.presentations import Presentation, free_reduce
+from picolim.presentations import Presentation, free_reduce, parse_presentation
 from picolim.tensor import _block_subgroup, _ordered_partitions, _three_block_partitions
 from picolim.words import Word, commutator
+from picolim.wu import WuConfiguration
 
 
 # -- integer matrices ------------------------------------------------------------
@@ -408,6 +411,31 @@ def denominator_generators_collected(cfg):
     return gens, stats
 
 
+def check_equality_13(n, c):
+    """Compare the tuple-generated Wu denominator with the symmetric
+    commutator of the n+1 closures; exact igs comparison.  Returns
+    (equal, report)."""
+    cfg = WuConfiguration(n, c)
+    G = cfg.group()
+    den = cfg.denominator()
+    sym = symmetric_commutator(NormalTuple(G, cfg.closures()))
+    equal = den == sym
+    report = {
+        "n": n,
+        "class": c,
+        "equal": equal,
+        "denominator_rows": len(den.pivots),
+        "symmetric_rows": len(sym.pivots),
+        "denominator_only": [
+            G.element_text(r) for r in den.igs if not sym.contains(r)
+        ],
+        "symmetric_only": [
+            G.element_text(r) for r in sym.igs if not den.contains(r)
+        ],
+    }
+    return equal, report
+
+
 def subgroup_to_csv(H, path):
     """One row per igs row: pivot index, then the dense exponent vector."""
     G = H.parent
@@ -754,6 +782,22 @@ def tensor_relators_exhaustive(t, squares=None):
 
 
 # -- finite engine -------------------------------------------------------------
+
+
+def catalog_presentation(name):
+    """The presentation a catalog group is realised from."""
+    return parse_presentation(catalog._registry[catalog._resolve(name)][1])
+
+
+def is_abelian(g):
+    """Whether the generators of a FiniteGroup commute pairwise."""
+    gens = list(g.gen_images.values())
+    return all(g.mul(a, b) == g.mul(b, a) for a in gens for b in gens)
+
+
+def abelian_invariants(g):
+    """Invariants of G/[G,G]."""
+    return abelian_invariants_of_quotient(g.full_subgroup(), g.derived_subgroup())
 
 
 def _closure_by_products(g, seed):

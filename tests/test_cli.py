@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from picolim import catalog
+from picolim import catalog, tensor
 from picolim.abelian import AbelianInvariants
 from picolim.cli import main
 
@@ -24,7 +27,7 @@ def test_connectivity_connected(capsys):
         "--subgroups", "V4,A4,full",
     )
     assert code == 0
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["connected"] is True
     assert payload["orders"] == [4, 12, 24]
 
@@ -307,11 +310,33 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 
 def test_symbol_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PICOLIM_SYMBOL_BUDGET", "4")
+    # the budget is a constant read at each call; no variable overrides it
+    monkeypatch.setenv("PICOLIM_SYMBOL_BUDGET", "1000000000")
+    monkeypatch.setattr(tensor, "RELATOR_BUDGET", 4)
     code, _, err = _run(capsys, "tensor", "--group", "catalog:C2",
                         "--subgroups", "full,full")
     assert code == 3
-    assert "budget" in err
+    assert err == (
+        "budget exceeded: 8 tensor symbols give 88 relators, over the budget of 4 relators\n"
+    )
+
+
+def test_tensor_budget_refuses_the_c64_four_tuple_at_once():
+    # 57,344 symbols and over 3 * 10^9 relators: without the relator count
+    # the build never finishes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "picolim.cli", "tensor", "--group", "catalog:C64",
+         "--subgroups", "full,full,full,full", "--json"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "budget-exceeded"
+    assert payload["message"] == (
+        f"57344 tensor symbols give 3301498880 relators, over the budget of "
+        f"{tensor.RELATOR_BUDGET} relators"
+    )
 
 
 def test_malformed_arguments(capsys):

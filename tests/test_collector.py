@@ -81,7 +81,7 @@ def _with_exponent(u, idx, f):
 def test_push_of_top_weight_moves_nothing(pair):
     # a generator of weight c is central: pushing it only adds its exponent
     G, ref = pair
-    top = [i for i in range(G.basis.size) if G.basis.weight(i) == G.cls]
+    top = [i for i in range(G.basis.size) if G.basis.weights[i] == G.cls]
     rng = random.Random(4)
     for u in _elements(G, ref, 4):
         idx, f = rng.choice(top), rng.choice(EXPONENTS)
@@ -94,8 +94,8 @@ def test_tail_of_commuting_entries_stays(pair):
     G, ref = pair
     rng = random.Random(5)
     for j in range(G.basis.size):
-        w = G.basis.weight(j)
-        heavy = [k for k in range(j + 1, G.basis.size) if G.basis.weight(k) > G.cls - w]
+        w = G.basis.weights[j]
+        heavy = [k for k in range(j + 1, G.basis.size) if G.basis.weights[k] > G.cls - w]
         if not heavy:
             continue
         head = tuple((i, rng.choice(EXPONENTS)) for i in range(min(j + 1, 2)))
@@ -123,4 +123,4 @@ def test_collector_lifts_only_noncommuting_entries():
         for u, v in zip(els, els[1:] + els[:1]):
             G.comm(u, v)
         assert asked
-        assert all(G.basis.weight(k) + G.basis.weight(j) <= cls for k, j in asked)
+        assert all(G.basis.weights[k] + G.basis.weights[j] <= cls for k, j in asked)

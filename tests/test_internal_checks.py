@@ -1,5 +1,6 @@
 """Internal checks of every module that holds one still fire under python -O,
-and no module under src/picolim holds an `assert`, which -O strips."""
+no module under src/picolim holds an `assert`, which -O strips, and none
+reads the environment."""
 
 import ast
 import os
@@ -213,14 +214,32 @@ def test_internal_check_fires_under_optimize(script, message):
     assert proc.stdout.strip() == f"InternalError: {message}"
 
 
-def test_no_assert_statements_in_the_package():
+def _package_nodes():
+    """(module file name, node) for every syntax node under src/picolim."""
     package = os.path.join(SRC, "picolim")
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=name)
-            found += [
-                f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
-            ]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
     assert found == [], "use InternalError, which survives python -O: " + ", ".join(found)
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads_in_the_package():
+    # budgets and limits are module constants or flags, never override variables
+    found = [
+        f"{name}:{node.lineno}" for name, node in _package_nodes()
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in _ENVIRONMENT for alias in node.names)
+    ]
+    assert found == [], "the package reads the environment at " + ", ".join(found)

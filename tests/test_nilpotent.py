@@ -176,7 +176,7 @@ def test_commutation_table_weights(g23):
         for i in range(j):
             u = commutation_table(g23, j, i)
             for idx, _ in u:
-                assert g23.basis.weight(idx) >= g23.basis.weight(i) + g23.basis.weight(j)
+                assert g23.basis.weights[idx] >= g23.basis.weights[i] + g23.basis.weights[j]
 
 
 def test_element_text(g22):
@@ -202,7 +202,7 @@ def test_cyclic_subgroup(g22):
     assert h.contains(g22.pow(x, 5))
     assert not h.contains(g22.gen(1))
     assert not h.contains(g22.basis_element(2))
-    assert not h.is_trivial()
+    assert h.rows
 
 
 def test_subgroup_closes_under_products(g23):
@@ -216,7 +216,7 @@ def test_subgroup_closes_under_products(g23):
 
 def test_trivial_and_full(g22):
     t = g22.trivial_subgroup()
-    assert t.is_trivial()
+    assert not t.rows
     assert t.contains(())
     assert not t.contains(g22.gen(0))
     f = g22.full_subgroup()
@@ -251,14 +251,14 @@ def test_lower_central_series_dual_route(g23):
     gamma2 = commutator_subgroup_pc(full, full)
     gamma3 = commutator_subgroup_pc(gamma2, full)
     by_weight2 = subgroup(
-        g23, [g23.basis_element(i) for i in range(g23.basis.size) if g23.basis.weight(i) >= 2]
+        g23, [g23.basis_element(i) for i in range(g23.basis.size) if g23.basis.weights[i] >= 2]
     )
     by_weight3 = subgroup(
-        g23, [g23.basis_element(i) for i in range(g23.basis.size) if g23.basis.weight(i) >= 3]
+        g23, [g23.basis_element(i) for i in range(g23.basis.size) if g23.basis.weights[i] >= 3]
     )
     assert gamma2 == by_weight2
     assert gamma3 == by_weight3
-    assert commutator_subgroup_pc(gamma3, full).is_trivial()
+    assert not commutator_subgroup_pc(gamma3, full).rows
 
 
 def test_product_contains_factors(g23):
@@ -305,7 +305,7 @@ def test_intersection_membership_random(g23):
 def test_intersect_idempotent(g23):
     h = normal_closure_pc(g23, [g23.gen(0)])
     assert intersect_pc(h, h) == h
-    assert intersect_pc(h, g23.trivial_subgroup()).is_trivial()
+    assert not intersect_pc(h, g23.trivial_subgroup()).rows
     assert intersect_pc(h, g23.full_subgroup()) == h
 
 
@@ -328,7 +328,7 @@ def test_central_quotient_invariants(g23):
     gamma3 = commutator_subgroup_pc(gamma2, full)
     assert central_quotient_invariants(full, gamma2) == AbelianInvariants(2, ())
     assert central_quotient_invariants(gamma2, gamma3) == AbelianInvariants(1, ())
-    assert central_quotient_invariants(gamma2, gamma2).is_trivial()
+    assert central_quotient_invariants(gamma2, gamma2) == AbelianInvariants(0, ())
 
 
 def test_central_quotient_torsion(g22):

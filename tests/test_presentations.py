@@ -1,6 +1,7 @@
 import pytest
 
-from picolim.catalog import catalog_group, catalog_names, catalog_presentation
+from oracles import catalog_presentation
+from picolim.catalog import catalog_group, catalog_names
 from picolim.colimit import NormalTuple
 from picolim.errors import BudgetError, ParseError
 from picolim.presentations import (

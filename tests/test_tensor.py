@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import one_orientation_presentation, tensor_relators_exhaustive
-from picolim import finite
+from picolim import finite, tensor
 from picolim.abelian import AbelianInvariants
 from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
 from picolim.colimit import NormalTuple
@@ -149,7 +149,9 @@ def test_tensor_square_kernels(name, t_order, image_order, invariants):
     assert out["kernel_order"] == t_order // image_order
     assert out["invariants"] == invariants
     assert out["verified"]
-    assert out["kernel_abelian"]
+    assert set(out) == {
+        "t_order", "image_order", "kernel_order", "invariants", "verified", "strategy", "notes",
+    }
 
 
 def test_kernel_of_a_group_too_large_to_realize(monkeypatch):
@@ -158,7 +160,6 @@ def test_kernel_of_a_group_too_large_to_realize(monkeypatch):
     out = kernel_of_boundary(tp)
     assert (out["t_order"], out["image_order"], out["kernel_order"]) == (6, 3, 2)
     assert out["invariants"] == AbelianInvariants(0, (2,))
-    assert out["kernel_abelian"] is None
     assert out["verified"] is False
     assert out["notes"] == ["T too large to realize; invariants not cross-checked"]
 
@@ -253,9 +254,14 @@ def test_build_E_square_relators():
     assert relator_soundness(tp) == []
 
 
-def test_budget_error():
-    with pytest.raises(BudgetError):
-        build_T(_full_tuple("S3", 2), symbol_budget=10)
+def test_budget_error(monkeypatch):
+    # 72 symbols: 72 inverse, 2 * 6^3 biadditive and 72^2 conjugation relators
+    monkeypatch.setattr(tensor, "RELATOR_BUDGET", 5687)
+    message = "^72 tensor symbols give 5688 relators, over the budget of 5687 relators$"
+    with pytest.raises(BudgetError, match=message):
+        build_T(_full_tuple("S3", 2))
+    monkeypatch.setattr(tensor, "RELATOR_BUDGET", 5688)
+    assert len(build_T(_full_tuple("S3", 2)).symbols) == 72
 
 
 def test_input_validation():

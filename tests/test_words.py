@@ -28,7 +28,7 @@ def test_reduction_merges_and_cancels():
 
 
 def test_identity_and_gen():
-    assert Word.identity().is_identity()
+    assert Word().is_identity()
     assert Word.gen("x").syllables == (("x", 1),)
     assert Word.gen("x", -3).syllables == (("x", -3),)
 

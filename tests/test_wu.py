@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import (
+    check_equality_13,
     collected_comm,
     conj_pow_by_series,
     denominator_generators_collected,
@@ -21,7 +22,6 @@ from picolim.wu import (
     WuConfiguration,
     _denominator_generators,
     braid_check,
-    check_equality_13,
     membership_check,
     wu_group,
     wu_report,
@@ -59,13 +59,13 @@ def test_signed_letters():
 def test_rank1_gives_free_rank_one():
     cfg = WuConfiguration(1, 2)
     assert wu_group(cfg) == AbelianInvariants(1, ())
-    assert cfg.denominator().is_trivial()
+    assert not cfg.denominator().rows
 
 
 def test_degenerate_denominator_at_minimal_class():
     # tuples of length <= 2 cannot cover three letters
     cfg = WuConfiguration(2, 2)
-    assert cfg.denominator().is_trivial()
+    assert not cfg.denominator().rows
     assert wu_group(cfg) == AbelianInvariants(1, ())
     G = cfg.group()
     assert cfg.numerator().contains(G.collect(hopf_element(1)))
