@@ -1,7 +1,8 @@
 """Print the first few nested-bracket generator candidates and test their
 membership in the truncated quotients where they are expected to matter."""
 
-from picolim.words import hopf, hopf_element, render_word
+from picolim.presentations import render_word
+from picolim.words import hopf, hopf_element
 from picolim.wu import WuConfiguration, membership_check
 
 for k in range(1, 5):
@@ -12,7 +13,7 @@ for n, c in ((2, 3), (2, 4)):
     cfg = WuConfiguration(n, c)
     h = hopf_element(1)
     out = membership_check(h, cfg)
-    print(f"(n={n}, c={c}) {render_word(h)}: in numerator {out['in_numerator']}, "
+    print(f"(n={n}, c={c}) {render_word(h, cfg.names)}: in numerator {out['in_numerator']}, "
           f"in denominator {out['in_denominator']}, order {out['order_in_quotient']}")
 
 cfg = WuConfiguration(3, 5)

@@ -195,6 +195,6 @@ def subgroup_of(g, spec):
         closure = g.normal_closure
         spec = spec[3:].strip()
     if spec.startswith("{") and spec.endswith("}"):
-        words = parse_words(spec[1:-1], generators=list(g.gen_images))
+        words = parse_words(spec[1:-1], g.generators)
         return closure([g.word_image(w) for w in words])
     raise KeyError(f"unknown subgroup spec {spec!r}")

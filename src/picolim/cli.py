@@ -18,6 +18,10 @@ cosets, with the default coset.COSET_LIMIT.  Every other budget is a
 constant of the module it bounds (words.LETTER_BUDGET,
 hall.BASIS_BUDGET, finite.ORDER_CAP, tensor.RELATOR_BUDGET); no
 environment variable changes any of them.
+
+A word on the command line (--r, --s, --member) is parsed against the
+names of its group (--names, or y0 .. y{n-1}) before any computation and
+reaches the engines as integer letters; output renders it over them.
 """
 
 import argparse
@@ -40,9 +44,9 @@ from .colimit import (
 from .coset import COSET_LIMIT, todd_coxeter
 from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
-from .presentations import parse_presentation, parse_word
+from .presentations import parse_presentation, parse_word, render_word
 from .tensor import build_T, kernel_of_boundary
-from .words import hopf, render_word
+from .words import hopf
 from .wu import WuConfiguration, braid_check, membership_check, wu_report
 
 SCHEMA = 2
@@ -97,9 +101,9 @@ def _load_tuple(args):
     return group, subs
 
 
-def _parse_cli_word(text):
+def _parse_cli_word(text, names):
     try:
-        return parse_word(text)
+        return parse_word(text, names)
     except ParseError as exc:
         raise CliError(f"bad word {text!r}: {exc}")
 
@@ -189,11 +193,7 @@ def _cmd_h1(args):
 def _cmd_h3check(args):
     names = args.names.split(",")
     rep = hopf_h3_check(
-        len(names),
-        _parse_cli_word(args.r),
-        _parse_cli_word(args.s),
-        args.class_bound,
-        names=names,
+        names, _parse_cli_word(args.r, names), _parse_cli_word(args.s, names), args.class_bound
     )
     return _emit(args, dict(rep.to_json_dict(), verb="h3check"))
 
@@ -223,23 +223,23 @@ def _cmd_kernel(args):
 
 def _cmd_wu(args):
     cfg = WuConfiguration(args.n, args.class_bound)
+    # parsed before the report, so a bad word is refused at once
+    member = None if args.member is None else _parse_cli_word(args.member, cfg.names)
     payload = dict(wu_report(cfg), verb="wu")
-    if args.member is not None:
-        payload["membership"] = dict(
-            membership_check(_parse_cli_word(args.member), cfg),
-            word=args.member,
-        )
+    if member is not None:
+        payload["membership"] = dict(membership_check(member, cfg), word=args.member)
     return _emit(args, payload)
 
 
 def _cmd_hopf(args):
     word, brackets = hopf(args.k)
+    names = [f"y{i}" for i in range(args.k + 1)]
     payload = {
         "verb": "hopf",
         "k": args.k,
-        "word": render_word(word),
+        "word": render_word(word, names),
         "brackets": brackets,
-        "letters": word.generators(),
+        "letters": [names[i] for i in word.generators()],
     }
     if args.class_bound is not None:
         cfg = WuConfiguration(args.k + 1, args.class_bound)

@@ -35,7 +35,7 @@ from .catalog import catalog_group, groups_of_order_at_most
 from .errors import ConnectivityError, InternalError
 from .finite import FiniteGroup
 from .nilpotent import free_nilpotent, normal_closure_pc
-from .words import render_word
+from .presentations import render_word
 
 
 class NormalTuple:
@@ -266,14 +266,15 @@ def h1_GMN(ambient, M, N):
     return _quotient_report("h1_GMN", {}, numerator, denominator)
 
 
-def hopf_h3_check(rank, r_word, s_word, cls, names=None):
+def hopf_h3_check(names, r_word, s_word, cls):
     """Invariants of (R cap S cap [F,F]) / ([R,S][R cap S, F]) computed in
-    the free nilpotent quotient of the given class.
+    the free nilpotent quotient of the given class, F free on the given
+    generator names; the relator words are over their indices.
 
     A trivial result is consistent with vanishing H3 of F/RS; the value is
     a truncation, so triviality at one class proves nothing beyond it.
     """
-    F = free_nilpotent(rank, cls, names=names)
+    F = free_nilpotent(len(names), cls)
     R = normal_closure_pc(F, [F.collect(r_word)])
     S = normal_closure_pc(F, [F.collect(s_word)])
     full = F.full_subgroup()
@@ -281,11 +282,10 @@ def hopf_h3_check(rank, r_word, s_word, cls, names=None):
     rs = R.intersect(S)
     numerator = rs.intersect(derived)
     denominator = R.commutator(S).product(rs.commutator(full))
-    first = F.gen_names[0]  # an identity relator renders as first^0
     return _quotient_report(
         "hopf_h3_check",
-        {"rank": rank, "r": render_word(r_word, first),
-         "s": render_word(s_word, first), "class": cls},
+        {"rank": len(names), "r": render_word(r_word, names),
+         "s": render_word(s_word, names), "class": cls},
         numerator,
         denominator,
         notes=[f"truncated at class {cls}; triviality here is evidence, not proof"],

@@ -1,9 +1,10 @@
 """Explicitly enumerated finite groups and their subgroup calculus.
 
-A FiniteGroup carries elements 0..n-1 with identity 0, full multiplication
-data and images of its presentation generators.  Groups are realized from a
-completed coset table over the trivial subgroup, so element i is the coset
-reached from the identity by the i-th Schreier representative.
+A FiniteGroup carries elements 0..n-1 with identity 0 and one permutation
+per table column.  Groups are realized from a completed coset table over
+the trivial subgroup, so element i is the coset reached from the identity
+by the i-th Schreier representative, and generator i is perms[2i][0], the
+coset that its column 2i sends the identity to.
 
 The multiplication table is composed along the Schreier tree rather than
 traced word by word: if b = a*x for a tree edge labelled by column x, then
@@ -44,13 +45,15 @@ _MUL_TABLE_CAP = 1500
 
 
 class FiniteGroup:
-    def __init__(self, perms, gen_images, name=None):
-        """perms: one permutation of 0..n-1 per table column (g0, g0^-1, ...)."""
+    def __init__(self, perms, generators, name=None):
+        """perms: one permutation of 0..n-1 per table column (g0, g0^-1, ...);
+        generators: their names, kept only to parse subgroup specs."""
         self.n = len(perms[0]) if perms else 1
         if self.n > ORDER_CAP:
             raise BudgetError(f"group order {self.n} exceeds cap {ORDER_CAP}")
         self.perms = [tuple(p) for p in perms]
-        self.gen_images = dict(gen_images)
+        self.generators = tuple(generators)
+        self._gens = tuple(p[0] for p in self.perms[::2])
         self.name = name
         # Schreier representatives as column tuples along the BFS tree,
         # whose edges (b, a, x) with b = a*x come parents first
@@ -78,8 +81,7 @@ class FiniteGroup:
     def from_coset_table(cls, table, name=None):
         ncols = 2 * len(table.generators)
         perms = [[row[x] for row in table.rows] for x in range(ncols)]
-        gen_images = {g: table.rows[0][2 * i] for i, g in enumerate(table.generators)}
-        return cls(perms, gen_images, name=name)
+        return cls(perms, table.generators, name=name)
 
     @classmethod
     def from_presentation(cls, presentation, limit=COSET_LIMIT, name=None):
@@ -131,12 +133,18 @@ class FiniteGroup:
         """x y x^-1 y^-1."""
         return self.mul(self.mul(x, y), self.mul(self._inv[x], self._inv[y]))
 
+    def gens(self):
+        """The elements of the generators, in order."""
+        return self._gens
+
     def word_image(self, word):
-        """Element of a Word.  A syllable g^e costs at most n - 1 products,
-        since g^n is the identity in a group of order n."""
+        """Element of a Word, letter i as generator i.  A syllable g^e costs
+        at most n - 1 products, since g^n is the identity in a group of
+        order n."""
+        word.check_letters(len(self._gens))
         out = 0
-        for name, exp in word.syllables:
-            g = self.gen_images[name]
+        for i, exp in word.syllables:
+            g = self._gens[i]
             step = g if exp > 0 else self._inv[g]
             for _ in range(abs(exp) % self.n):
                 out = self.mul(out, step)
@@ -164,7 +172,7 @@ class FiniteGroup:
         members = [
             x
             for x in range(self.n)
-            if all(self.mul(x, g) == self.mul(g, x) for g in self.gen_images.values())
+            if all(self.mul(x, g) == self.mul(g, x) for g in self._gens)
         ]
         return self._subgroup_on(members)
 
@@ -176,7 +184,7 @@ class FiniteGroup:
         return self._subgroup_on(_closure(self, elements)[0])
 
     def normal_closure(self, elements):
-        members, _ = _normal_closure(self, self.gen_images.values(), elements)
+        members, _ = _normal_closure(self, self._gens, elements)
         return self._subgroup_on(members)
 
     def all_subgroups(self):
@@ -209,7 +217,7 @@ class FiniteGroup:
         nothing new appears, are all of them.
         """
         if self._normals is None:
-            conjugators = list(self.gen_images.values())
+            conjugators = self._gens
             closures = {}
             seen = set()
             for x in range(self.n):
@@ -252,12 +260,8 @@ class FiniteGroup:
         if not normal.is_normal():
             raise ValueError("quotient by a non-normal subgroup")
         reps, proj = _coset_labels(self, range(self.n), normal.members)
-        perms = []
-        for perm in self.perms:
-            perms.append([proj[perm[r]] for r in reps])
-        gen_images = {g: proj[i] for g, i in self.gen_images.items()}
-        q = FiniteGroup(perms, gen_images, name=None)
-        return q, proj
+        perms = [[proj[perm[r]] for r in reps] for perm in self.perms]
+        return FiniteGroup(perms, self.generators), proj
 
     def __repr__(self):
         label = self.name or "FiniteGroup"
@@ -368,7 +372,7 @@ class FinSubgroup:
             g = self.parent
             self._normal = all(
                 g.conj(a, x) in self.member_set
-                for a in g.gen_images.values()
+                for a in g.gens()
                 for x in self.gens
             )
         return self._normal

@@ -18,6 +18,9 @@ A commutator [x, y], or the image of x under an endomorphism, with x in
 an abelian layer gamma_d, 2d > c, is linear in x and is summed from the
 kept values on basis elements.
 
+A Word enters through collect as letters 0 .. rank-1, the generators; the
+group keeps no names, and element_text is given them.
+
 Subgroups carry an induced generating sequence (igs): one row per leading
 basis index, leading exponents positive, rows Hermite-reduced above later
 pivots.  Membership is decided by sifting.  On the set of elements whose
@@ -40,7 +43,6 @@ from .abelian import AbelianInvariants, _bezout
 from .errors import InternalError
 from .hall import HallBasis
 from .magnus import ConjugationTable
-from .words import valid_generator_name
 
 IDENTITY = ()
 
@@ -56,21 +58,10 @@ class _Interned(dict):
 class PcGroup:
     """Free nilpotent group of the basis rank, modulo weight > basis class."""
 
-    def __init__(self, basis, names=None):
+    def __init__(self, basis):
         self.basis = basis
         self.rank = basis.rank
         self.cls = basis.cls
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.rank)]
-        if len(names) != self.rank:
-            raise ValueError("need one name per generator")
-        for i, name in enumerate(names):
-            if not valid_generator_name(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in names[:i]:
-                raise ValueError(f"duplicate generator name {name!r}")
-        self.gen_names = tuple(names)
-        self._name_to_index = {n: i for i, n in enumerate(names)}
         self._table = ConjugationTable(basis)
         self._conj = {}
         self._pow_cache = {}
@@ -277,21 +268,18 @@ class PcGroup:
     # -- words -------------------------------------------------------------
 
     def collect(self, word):
-        """Normal form of a free-group word over the generator names."""
-        syllables = []
-        for name, f in word.syllables:
-            idx = self._name_to_index.get(name)
-            if idx is None:
-                raise ValueError(f"unknown generator {name!r}; group has {self.gen_names}")
-            syllables.append((idx, f))
-        return self._product((IDENTITY, syllables))
+        """Normal form of a Word, whose syllables (i, f) are the syllables
+        a_i^f on the generators, the first basis elements."""
+        word.check_letters(self.rank)
+        return self._product((IDENTITY, word.syllables))
 
-    def element_text(self, u):
+    def element_text(self, u, names):
+        """u as a product of basic commutators over the generator names."""
         if not u:
             return "1"
         parts = []
         for i, e in u:
-            t = self.basis.bracket_text(i, self.gen_names)
+            t = self.basis.bracket_text(i, names)
             parts.append(t if e == 1 else f"{t}^{e}")
         return "*".join(parts)
 
@@ -304,9 +292,9 @@ class PcGroup:
         return subgroup(self, [self.basis_element(i) for i in range(self.basis.size)])
 
 
-def free_nilpotent(rank, cls, names=None):
+def free_nilpotent(rank, cls):
     """The free nilpotent group of the given rank and class, or BudgetError."""
-    return PcGroup(HallBasis(rank, cls), names=names)
+    return PcGroup(HallBasis(rank, cls))
 
 
 # -- igs rows --------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Finite presentations and their one-line text format.
+"""Finite presentations and their one-line text format: the one home of
+generator names.
+
+Inside the package a letter is a generator index (see words).  This module
+checks names against the grammar below, resolves them to indices once per
+parse, and renders words and presentations back over a list of names.
 
 Grammar (whitespace insignificant, newlines allowed anywhere):
 
@@ -15,7 +20,32 @@ flat product form; parse(render(p)) == p.
 import re
 
 from .errors import BudgetError, ParseError
-from .words import LETTER_BUDGET, NAME, Word, commutator, render_word, valid_generator_name
+from .words import LETTER_BUDGET, Word, commutator
+
+# the grammar of a generator name, also the lexer's; str.isalpha and
+# str.isdigit would admit the letters and digits of any script
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _alphabet(generators):
+    """{name: generator index}; ValueError on a bad or repeated name."""
+    index = {}
+    for name in generators:
+        if not NAME.fullmatch(name):
+            raise ValueError(f"bad generator name {name!r}")
+        if name in index:
+            raise ValueError(f"duplicate generator {name!r}")
+        index[name] = len(index)
+    return index
+
+
+def render_word(w, names):
+    """Render to the text form `a*b^2*c^-1`, letter i as names[i].  The
+    identity has no product form in the grammar; it renders as
+    names[0]^0."""
+    if w.is_identity():
+        return f"{names[0]}^0"
+    return "*".join(names[i] if exp == 1 else f"{names[i]}^{exp}" for i, exp in w.syllables)
 
 
 class Presentation:
@@ -23,7 +53,7 @@ class Presentation:
 
     Column 2*i is generator i and 2*i+1 its inverse, so x ^ 1 inverts a
     letter; the coset table uses the same columns.  This class is the only
-    place that maps names to columns (`encode`) and columns to names
+    place that maps letters to columns (`encode`) and columns to letters
     (`word`).
     """
 
@@ -31,46 +61,36 @@ class Presentation:
         generators = tuple(generators)
         if not generators:
             raise ValueError("a presentation needs at least one generator")
-        index = {}
-        for name in generators:
-            if not valid_generator_name(name):
-                raise ValueError(f"bad generator name {name!r}")
-            if name in index:
-                raise ValueError(f"duplicate generator {name!r}")
-            index[name] = len(index)
+        _alphabet(generators)
         relators = tuple(map(tuple, relators))
         cols = set().union(*relators)
         if cols and not (min(cols) >= 0 and max(cols) < 2 * len(generators)):
             raise ValueError(f"relator column outside 0..{2 * len(generators) - 1}")
         self.generators = generators
         self.relators = relators
-        self._index = index
 
     def encode(self, word):
         """Column tuple of a Word over these generators; it is freely
-        reduced because the Word is.  Each letter takes one column."""
+        reduced because the Word is.  Each letter takes one column, and a
+        letter outside the generators is refused."""
         letters = word.length()
         if letters > LETTER_BUDGET:
             raise BudgetError(
                 f"word of {letters} letters exceeds the budget of {LETTER_BUDGET} letters"
             )
+        word.check_letters(len(self.generators))
         cols = []
-        for name, exp in word.syllables:
-            if name not in self._index:
-                raise ValueError(f"unknown generator {name!r}")
-            cols.extend([2 * self._index[name] + (exp < 0)] * abs(exp))
+        for i, exp in word.syllables:
+            cols.extend([2 * i + (exp < 0)] * abs(exp))
         return tuple(cols)
 
     def word(self, cols):
         """The Word spelled by a column tuple."""
-        return Word(tuple((self.generators[x >> 1], -1 if x & 1 else 1) for x in cols))
+        return Word(tuple((x >> 1, -1 if x & 1 else 1) for x in cols))
 
     def render(self):
         gens = ",".join(self.generators)
-        rels = ",".join(
-            render_word(self.word(r), fallback_generator=self.generators[0])
-            for r in self.relators
-        )
+        rels = ",".join(render_word(self.word(r), self.generators) for r in self.relators)
         return f"gens: {gens} | rels: {rels}"
 
     def __eq__(self, other):
@@ -231,7 +251,10 @@ class _Lexer:
         self.tokens.append(("end", None, pos))
 
     def error(self, message, offset):
-        return _error_at(self.text, message, offset)
+        """A ParseError at a character offset, with its 1-based line and column."""
+        text = self.text
+        line_start = text.rfind("\n", 0, offset) + 1
+        return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self):
         return self.tokens[self.index]
@@ -247,12 +270,6 @@ class _Lexer:
             shown = tok[1] if tok[0] != "end" else "end of input"
             raise self.error(f"expected {what or kind}, found {shown!r}", tok[2])
         return tok
-
-
-def _error_at(text, message, offset):
-    """A ParseError at a character offset, with its 1-based line and column."""
-    line_start = text.rfind("\n", 0, offset) + 1
-    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _parse_all(text, parse):
@@ -280,9 +297,10 @@ def _parse_keyword(lex, keyword):
     lex.expect(":", "':'")
 
 
-def _parse_term(lex, generators):
+def _parse_term(lex, index):
     tok = lex.expect("name", "generator name")
-    if generators is not None and tok[1] not in generators:
+    i = index.get(tok[1])
+    if i is None:
         raise lex.error(f"unknown generator {tok[1]!r}", tok[2])
     exp = 1
     if lex.peek()[0] == "^":
@@ -291,56 +309,59 @@ def _parse_term(lex, generators):
         if etok[0] != "int":
             raise lex.error("expected integer exponent", etok[2])
         exp = etok[1]
-    return Word(((tok[1], exp),))
+    return Word(((i, exp),))
 
 
-def _parse_word(lex, generators):
+def _parse_word(lex, index):
     if lex.peek()[0] == "[":
         lex.next()
-        left = _parse_word(lex, generators)
+        left = _parse_word(lex, index)
         lex.expect(",", "','")
-        right = _parse_word(lex, generators)
+        right = _parse_word(lex, index)
         lex.expect("]", "']'")
         return commutator(left, right)
-    w = _parse_term(lex, generators)
+    w = _parse_term(lex, index)
     while lex.peek()[0] == "*":
         lex.next()
-        w = w * _parse_term(lex, generators)
+        w = w * _parse_term(lex, index)
     return w
 
 
-def _parse_word_list(lex, generators):
+def _parse_word_list(lex, index):
     """Comma-separated words up to the end of input; there may be none."""
     if lex.peek()[0] == "end":
         return []
-    return _comma_list(lex, lambda lex: _parse_word(lex, generators))
+    return _comma_list(lex, lambda lex: _parse_word(lex, index))
 
 
-def parse_word(text, generators=None):
-    """Parse a single word; optionally restrict to a known alphabet."""
-    return _parse_all(text, lambda lex: _parse_word(lex, generators))
+def parse_word(text, generators):
+    """Parse a single word over the given generator names, which are
+    checked first; letter i is generators[i]."""
+    index = _alphabet(generators)
+    return _parse_all(text, lambda lex: _parse_word(lex, index))
 
 
-def parse_words(text, generators=None):
-    """Parse a comma-separated word list (may be empty)."""
-    return _parse_all(text, lambda lex: _parse_word_list(lex, generators))
+def parse_words(text, generators):
+    """Parse a comma-separated word list (may be empty) over the given
+    generator names, as parse_word."""
+    index = _alphabet(generators)
+    return _parse_all(text, lambda lex: _parse_word_list(lex, index))
 
 
 def _parse_presentation(lex):
-    """The generator name tokens and the relator words."""
+    """The generator names and the relator words over them."""
     _parse_keyword(lex, "gens")
-    tokens = _comma_list(lex, lambda lex: lex.expect("name", "generator name"))
+    index = {}
+    for _, name, offset in _comma_list(lex, lambda lex: lex.expect("name", "generator name")):
+        if name in index:
+            raise lex.error(f"duplicate generator {name!r}", offset)
+        index[name] = len(index)
     lex.expect("|", "'|'")
     _parse_keyword(lex, "rels")
-    return tokens, _parse_word_list(lex, [tok[1] for tok in tokens])
+    return list(index), _parse_word_list(lex, index)
 
 
 def parse_presentation(text):
-    tokens, rels = _parse_all(text, _parse_presentation)
-    gens = []
-    for _, name, offset in tokens:
-        if name in gens:
-            raise _error_at(text, f"duplicate generator {name!r}", offset)
-        gens.append(name)
+    gens, rels = _parse_all(text, _parse_presentation)
     p = Presentation(gens)
     return Presentation(gens, [p.encode(w) for w in rels])

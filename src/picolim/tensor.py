@@ -375,8 +375,7 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
         ker = T.subgroup(members)
         if ker.order() != kernel_order:
             raise InternalError("the kernel's elements do not close to a subgroup of its order")
-        gens = T.gen_images.values()
-        if any(T.mul(k, g) != T.mul(g, k) for k in ker.gens for g in gens):
+        if any(T.mul(k, g) != T.mul(g, k) for k in ker.gens for g in T.gens()):
             raise InternalError("the kernel of the boundary is not central in T")
         direct = abelian_invariants_of_quotient(ker, T.trivial_subgroup())
         if direct != invariants:

@@ -1,17 +1,20 @@
-"""Freely reduced words over a named generator alphabet.
+"""Freely reduced words over integer letters.
 
-A word is stored as a tuple of syllables (name, exponent) with nonzero
-integer exponents and no two adjacent syllables on the same generator, so
-every Word is reduced by construction.  Exponents are plain Python ints and
-may be arbitrarily large.  Words are immutable and hashable.
+A word is stored as a tuple of syllables (generator index, exponent) with
+nonzero integer exponents and no two adjacent syllables on the same
+generator, so every Word is reduced by construction.  Exponents are plain
+Python ints and may be arbitrarily large.  Words are immutable and
+hashable.  A letter is only an index; its name is known to the DSL that
+parses and renders words (presentations), and the engine that evaluates a
+word refuses a letter outside its group with check_letters.
 
-Besides the arithmetic (product, inverse, power) this module provides the
+Besides the arithmetic (product, inverse) this module provides the
 commutator constructor used throughout the package, with the convention
 
     commutator(x, y) = x y x^-1 y^-1
 
 and the family of iterated commutator words hopf_element(k) built from
-letters y0, y1, ... by
+letters y0, y1, ... (letter i is yi) by
 
     h(1) = [y0, y1]
     h(k) = [h(k-1), h(k-1) with its trailing product y1...y(k-1)
@@ -21,33 +24,23 @@ so h(2) = [[y0,y1],[y0,y1*y2]], h(3) = [h(2), [[y0,y1],[y0,y1*y2*y3]]] and
 so on.  hopf(k) also renders the nested bracket expression.
 """
 
-import re
-
 from .errors import BudgetError
 
 LETTER_BUDGET = 1_000_000  # letters of a word spelled out one at a time
 
-# the grammar of a generator name, also the DSL lexer's; str.isalpha and
-# str.isdigit would admit the letters and digits of any script
-NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-def valid_generator_name(name):
-    return NAME.fullmatch(name) is not None
-
 
 def _reduce(syllables):
     out = []
-    for name, exp in syllables:
+    for gen, exp in syllables:
         if exp == 0:
             continue
-        if out and out[-1][0] == name:
+        if out and out[-1][0] == gen:
             merged = out[-1][1] + exp
             out.pop()
             if merged:
-                out.append((name, merged))
+                out.append((gen, merged))
         else:
-            out.append((name, exp))
+            out.append((gen, exp))
     return tuple(out)
 
 
@@ -57,16 +50,17 @@ class Word:
     __slots__ = ("syllables",)
 
     def __init__(self, syllables=()):
-        for name, exp in syllables:
-            if not valid_generator_name(name):
-                raise ValueError(f"bad generator name {name!r}")
+        for gen, exp in syllables:
+            if not (isinstance(gen, int) and gen >= 0):
+                raise ValueError(f"letter {gen!r} is not a generator index")
             if not isinstance(exp, int):
                 raise ValueError(f"exponent {exp!r} is not an int")
         self.syllables = _reduce(syllables)
 
     @classmethod
-    def gen(cls, name, exp=1):
-        return cls(((name, exp),))
+    def gen(cls, i, exp=1):
+        """The letter of generator i, to the power exp."""
+        return cls(((i, exp),))
 
     def is_identity(self):
         return not self.syllables
@@ -75,23 +69,21 @@ class Word:
         return Word(self.syllables + other.syllables)
 
     def inverse(self):
-        return Word(tuple((name, -exp) for name, exp in reversed(self.syllables)))
-
-    def __pow__(self, n):
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
 
     def length(self):
         """Letter count of the reduced word."""
         return sum(abs(exp) for _, exp in self.syllables)
 
     def generators(self):
-        return sorted({name for name, _ in self.syllables})
+        """The generator indices that occur, ascending."""
+        return sorted({gen for gen, _ in self.syllables})
+
+    def check_letters(self, n):
+        """ValueError unless every letter is one of the generators 0..n-1."""
+        for gen, _ in self.syllables:
+            if gen >= n:
+                raise ValueError(f"letter {gen} is outside the {n} generators")
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.syllables == other.syllables
@@ -100,28 +92,11 @@ class Word:
         return hash(self.syllables)
 
     def __repr__(self):
-        return f"Word({render_word(self)!r})"
+        return f"Word({self.syllables!r})"
 
 
 def commutator(x, y):
     return x * y * x.inverse() * y.inverse()
-
-
-def render_word(w, fallback_generator=None):
-    """Render to the text form `a*b^2*c^-1`.
-
-    The identity has no product form in the grammar; it renders as `g^0`
-    using the word's first generator, or `fallback_generator` if given.
-    """
-    if w.is_identity():
-        name = fallback_generator
-        if name is None:
-            raise ValueError("cannot render the identity without a generator name")
-        return f"{name}^0"
-    parts = []
-    for name, exp in w.syllables:
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
 
 
 def hopf_letter_bound(k):
@@ -149,11 +124,12 @@ def hopf(k):
         raise BudgetError(
             f"h({k}) may have {bound} letters, over the budget of {LETTER_BUDGET} letters"
         )
-    y0 = Word.gen("y0")
+    y0 = Word.gen(0)
     level = []
     for m in range(1, k + 1):
-        tail = [f"y{i}" for i in range(1, m + 1)]
-        level.append((commutator(y0, Word(tuple((y, 1) for y in tail))), f"[y0,{''.join(tail)}]"))
+        tail = Word(tuple((i, 1) for i in range(1, m + 1)))
+        text = "".join(f"y{i}" for i in range(1, m + 1))
+        level.append((commutator(y0, tail), f"[y0,{text}]"))
     for _ in range(1, k):
         (left, left_text), rest = level[0], level[1:]
         level = [(commutator(left, w), f"[{left_text},{text}]") for w, text in rest]
@@ -161,5 +137,5 @@ def hopf(k):
 
 
 def hopf_element(k):
-    """The k-th iterated commutator word, over letters y0..yk."""
+    """The k-th iterated commutator word, over letters 0..k."""
     return hopf(k)[0]

@@ -39,7 +39,8 @@ from .words import Word
 
 
 class WuConfiguration:
-    """Rank n and truncation class c, with lazily computed subgroups."""
+    """Rank n and truncation class c, with lazily computed subgroups.
+    Letter i of a Word is y_i, named names[i]."""
 
     def __init__(self, n, class_bound):
         if n < 1:
@@ -55,11 +56,11 @@ class WuConfiguration:
         self._den = None
         self._num = None
         self._closures = None
-        self._den_stats = None
+        self.denominator_stats = None
 
     def group(self):
         if self._group is None:
-            self._group = free_nilpotent(self.n, self.class_bound, names=self.names)
+            self._group = free_nilpotent(self.n, self.class_bound)
         return self._group
 
     @cached_property
@@ -137,8 +138,10 @@ class WuConfiguration:
         return out
 
     def denominator(self):
+        """The denominator; the counts of its search are kept beside it in
+        denominator_stats."""
         if self._den is None:
-            self._den = wu_denominator(self)
+            self._den, self.denominator_stats = wu_denominator(self)
         return self._den
 
     def numerator(self):
@@ -245,7 +248,8 @@ def _denominator_generators(cfg):
 
 def wu_denominator(cfg):
     """Normal closure of the covering left-normed commutators, from the
-    minimal ones alone.
+    minimal ones alone, with the counts of the search: nodes,
+    covering_nontrivial and distinct_generators.
 
     A generator [u, x] = u (x u^-1 x^-1) lies in the normal closure of u.
     Let g be a generator that is not minimal, and take a shortest covering
@@ -257,8 +261,7 @@ def wu_denominator(cfg):
     1 covers the n+1 >= 2 letters.
     """
     gens, minimal, stats = _denominator_generators(cfg)
-    cfg._den_stats = dict(stats, distinct_generators=len(gens))
-    return normal_closure_pc(cfg.group(), minimal)
+    return normal_closure_pc(cfg.group(), minimal), dict(stats, distinct_generators=len(gens))
 
 
 def wu_numerator(cfg):
@@ -284,7 +287,7 @@ def wu_group(cfg):
         for g in G.gens():
             if not den.contains(G.comm(row, g)):
                 raise InternalError(
-                    f"centrality violation for igs row {G.element_text(row)}"
+                    f"centrality violation for igs row {G.element_text(row, cfg.names)}"
                 )
     return num.quotient_invariants(den)
 
@@ -298,7 +301,7 @@ def wu_report(cfg):
         "n": cfg.n,
         "class": cfg.class_bound,
         "numerator": {"igs_rows": len(num.pivots)},
-        "denominator": dict(cfg._den_stats, igs_rows=len(den.pivots)),
+        "denominator": dict(cfg.denominator_stats, igs_rows=len(den.pivots)),
         "invariants": invariants.to_json_dict(),
         "label": (
             f"truncated at class {cfg.class_bound}; the reported group is a "
@@ -343,13 +346,13 @@ def membership_check(w, cfg):
 def braid_check(c):
     """Pairwise intersection-equals-commutator check for the three relator
     closures of the 4-string braid presentation, truncated at class c."""
-    x, y, z = Word.gen("x"), Word.gen("y"), Word.gen("z")
+    x, y, z = Word.gen(0), Word.gen(1), Word.gen(2)
     words = [
         x * y * x * (y * x * y).inverse(),
         y * z * y * (z * y * z).inverse(),
         x * z * (z * x).inverse(),
     ]
-    G = free_nilpotent(3, c, names=("x", "y", "z"))
+    G = free_nilpotent(3, c)
     closures = [normal_closure_pc(G, [G.collect(w)]) for w in words]
     pairs = []
     for i in range(3):

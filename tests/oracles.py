@@ -427,10 +427,10 @@ def check_equality_13(n, c):
         "denominator_rows": len(den.pivots),
         "symmetric_rows": len(sym.pivots),
         "denominator_only": [
-            G.element_text(r) for r in den.igs if not sym.contains(r)
+            G.element_text(r, cfg.names) for r in den.igs if not sym.contains(r)
         ],
         "symmetric_only": [
-            G.element_text(r) for r in sym.igs if not den.contains(r)
+            G.element_text(r, cfg.names) for r in sym.igs if not den.contains(r)
         ],
     }
     return equal, report
@@ -791,7 +791,7 @@ def catalog_presentation(name):
 
 def is_abelian(g):
     """Whether the generators of a FiniteGroup commute pairwise."""
-    gens = list(g.gen_images.values())
+    gens = g.gens()
     return all(g.mul(a, b) == g.mul(b, a) for a in gens for b in gens)
 
 
@@ -906,9 +906,9 @@ def reduce_word(w):
 
 
 def left_normed_commutator(entries):
-    """[[...[z1^e1, z2^e2], ...], zt^et] for entries (word_or_name, sign).
+    """[[...[z1^e1, z2^e2], ...], zt^et] for entries (word_or_letter, sign).
 
-    Each entry is a pair (z, e) with z a Word or a generator name and e a
+    Each entry is a pair (z, e) with z a Word or a generator index and e a
     nonzero int used as the exponent on that letter.  A single entry returns
     the letter power itself.
     """
@@ -919,7 +919,8 @@ def left_normed_commutator(entries):
         if e == 0:
             raise ValueError("zero exponent in commutator entry")
         w = z if isinstance(z, Word) else Word.gen(z)
-        words.append(w**e)
+        # w^e as one word: |e| copies of the syllables of w or w^-1
+        words.append(Word((w if e > 0 else w.inverse()).syllables * abs(e)))
     acc = words[0]
     for w in words[1:]:
         acc = commutator(acc, w)
@@ -933,9 +934,9 @@ def hopf_recursive(k, m=None):
     if m is None:
         m = k
     if k == 1:
-        tail = [f"y{i}" for i in range(1, m + 1)]
-        left = (Word.gen("y0"), "y0")
-        right = (Word(tuple((y, 1) for y in tail)), "".join(tail))
+        tail = range(1, m + 1)
+        left = (Word.gen(0), "y0")
+        right = (Word(tuple((i, 1) for i in tail)), "".join(f"y{i}" for i in tail))
     else:
         left, right = hopf_recursive(k - 1), hopf_recursive(k - 1, m)
     return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"

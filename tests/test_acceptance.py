@@ -213,10 +213,10 @@ def test_criterion_10_dual_strategy_kernels():
 
 def test_criterion_11_h3_truncations_trivial():
     t0 = time.time()
-    x, y = Word.gen("x"), Word.gen("y")
+    x, y = Word.gen(0), Word.gen(1)
     ok = True
     for r, s in ((y, y), (x, y)):
-        rep = hopf_h3_check(2, r, s, 3, names=["x", "y"])
+        rep = hopf_h3_check(["x", "y"], r, s, 3)
         ok = ok and rep.invariants == AbelianInvariants(0, ())
     _line(11, ok, time.time() - t0, 60.0,
           "third-homology quotient trivial for (r=s=y) and (r=x, s=y) at class 3")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from picolim import catalog, tensor
+from picolim import catalog, cli, tensor
 from picolim.abelian import AbelianInvariants
 from picolim.cli import main
 
@@ -165,7 +165,15 @@ def test_h3check_duplicate_names_rejected(capsys, names):
         capsys, "h3check", "--r", "x", "--s", "x", "--class", "3", "--names", names,
     )
     assert code == 1
-    assert "duplicate generator name 'x'" in err
+    assert "duplicate generator 'x'" in err
+
+
+def test_h3check_bad_name_rejected(capsys):
+    code, _, err = _run(
+        capsys, "h3check", "--r", "x", "--s", "x", "--class", "3", "--names", "1x,y",
+    )
+    assert code == 1
+    assert "bad generator name '1x'" in err
 
 
 def test_tensor_verb(capsys):
@@ -205,6 +213,17 @@ def test_wu_verb_with_member(capsys):
     assert payload["invariants"] == {"free_rank": 1, "torsion": []}
     assert payload["membership"]["in_numerator"] is True
     assert payload["membership"]["in_denominator"] is False
+
+
+def test_wu_member_is_parsed_before_the_report(capsys, monkeypatch):
+    def report(cfg):
+        raise AssertionError("the report ran before --member was parsed")
+
+    monkeypatch.setattr(cli, "wu_report", report)
+    code, out, err = _run(capsys, "wu", "--n", "4", "--class", "5", "--member", "z")
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad word 'z': unknown generator 'z' (line 1, column 1)\n"
 
 
 def test_hopf_verb(capsys):

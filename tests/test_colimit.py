@@ -74,7 +74,7 @@ def test_normal_tuple_validation():
     s3 = catalog_group("S3")
     with pytest.raises(ValueError):
         NormalTuple(s3, ())
-    h = s3.subgroup([s3.gen_images["s"]])  # non-normal
+    h = s3.subgroup([s3.gens()[1]])  # non-normal
     with pytest.raises(ValueError) as info:
         NormalTuple(s3, (s3.full_subgroup(), h))
     assert "2" in str(info.value)
@@ -85,8 +85,8 @@ def test_normal_tuple_validation():
 
 def _v4_bad_triple():
     v4 = catalog_group("V4")
-    a = v4.gen_images["a"]
-    b = v4.gen_images["b"]
+    a = v4.gens()[0]
+    b = v4.gens()[1]
     subs = (
         v4.subgroup([a]),
         v4.subgroup([b]),
@@ -237,7 +237,7 @@ def test_pi2_n3_permutation_invariance():
 
 def test_pi2_n3_rejects_non_normal():
     s3 = catalog_group("S3")
-    h = s3.subgroup([s3.gen_images["s"]])
+    h = s3.subgroup([s3.gens()[1]])
     with pytest.raises(ValueError):
         pi_2_colimit_n3(h, s3.full_subgroup(), s3.full_subgroup())
 
@@ -254,9 +254,9 @@ def test_h1_known_values():
 
 
 def test_hopf_h3_trivial_cases():
-    x, y = Word.gen("x"), Word.gen("y")
+    x, y = Word.gen(0), Word.gen(1)
     for r, s in ((y, y), (x, y)):
-        report = hopf_h3_check(2, r, s, 3, names=["x", "y"])
+        report = hopf_h3_check(["x", "y"], r, s, 3)
         assert report.invariants == AbelianInvariants(0, ())
         assert any("class 3" in note for note in report.notes)
         assert report.inputs["r"] in ("x", "y")
@@ -278,23 +278,23 @@ def _ncl(F, word):
 
 
 def test_h1_on_pc_engine():
-    F = free_nilpotent(2, 3, names=["x", "y"])
-    x, y = Word.gen("x"), Word.gen("y")
+    F = free_nilpotent(2, 3)
+    x, y = Word.gen(0), Word.gen(1)
     assert h1_GMN(F, _ncl(F, x), _ncl(F, y)).invariants == AbelianInvariants(0, ())
 
 
 def test_pi_n_single_pc_subgroup():
     # gamma_2 of the free nilpotent group of rank 2, class 3 is Z^3
-    F = free_nilpotent(2, 3, names=["x", "y"])
-    derived = _ncl(F, commutator(Word.gen("x"), Word.gen("y")))
+    F = free_nilpotent(2, 3)
+    derived = _ncl(F, commutator(Word.gen(0), Word.gen(1)))
     report = pi_n_colimit(NormalTuple(F, (derived,)))
     assert report.invariants == AbelianInvariants(3, ())
     assert report.denominator == {"igs_rows": 0, "pivots": []}
 
 
 def test_pi_1_needs_finite_engine():
-    F = free_nilpotent(2, 2, names=["x", "y"])
-    t = NormalTuple(F, (_ncl(F, Word.gen("x")), _ncl(F, Word.gen("y"))))
+    F = free_nilpotent(2, 2)
+    t = NormalTuple(F, (_ncl(F, Word.gen(0)), _ncl(F, Word.gen(1))))
     with pytest.raises(TypeError, match="finite engine"):
         pi_1_colimit(t)
 

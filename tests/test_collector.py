@@ -68,7 +68,7 @@ def test_collect_matches_reference(pair):
             expected = ref.mul(expected, (syllable,))
         w = Word(())
         for i, f in word:
-            w = w * Word.gen(G.gen_names[i], f)
+            w = w * Word.gen(i, f)
         assert G.collect(w) == expected
 
 

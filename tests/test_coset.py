@@ -93,7 +93,7 @@ def test_limit_message_counts_live_rows():
 def test_follow_cycles_through_group():
     p = parse_presentation("gens: a | rels: a^6")
     t = todd_coxeter(p)
-    a = p.encode(parse_word("a"))
+    a = p.encode(parse_word("a", p.generators))
     seen = []
     c = 0
     for _ in range(6):
@@ -101,7 +101,7 @@ def test_follow_cycles_through_group():
         c = follow(t, c, a)
     assert c == 0
     assert sorted(seen) == list(range(6))
-    inverse, fifth = p.encode(parse_word("a^-1")), p.encode(parse_word("a^5"))
+    inverse, fifth = (p.encode(parse_word(w, p.generators)) for w in ("a^-1", "a^5"))
     assert follow(t, 0, inverse) == follow(t, 0, fifth)
 
 
@@ -200,7 +200,7 @@ S3_COSET_ACTIONS = {
 def test_rewrite_known_subgroups(sub, expected):
     p = parse_presentation(S3)
     t = coset_table_from_action(p.generators, S3_COSET_ACTIONS[sub])
-    assert follow(t, 0, p.encode(parse_word(sub))) == 0
+    assert follow(t, 0, p.encode(parse_word(sub, p.generators))) == 0
     rows, ncols = schreier_rewrite_matrix(t, p.relators)
     assert AbelianInvariants.from_relation_matrix(rows, ncols) == expected
 

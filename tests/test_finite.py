@@ -32,6 +32,7 @@ from picolim.finite import (
     abelian_invariants_of_quotient,
 )
 from picolim.presentations import parse_presentation, parse_word
+from picolim.words import Word
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # the DSL has no powers of products, so (a*b)^n is written out
@@ -101,24 +102,26 @@ def test_element_orders_divide_group_order(q8, s3):
 
 def test_word_image_kills_relators(s3):
     for rel in ("r^3", "s^2", "s*r*s^-1*r"):
-        assert s3.word_image(parse_word(rel)) == 0
-    assert s3.word_image(parse_word("r")) == s3.gen_images["r"]
-    assert s3.word_image(parse_word("r^-1")) == s3.inv(s3.gen_images["r"])
+        assert s3.word_image(parse_word(rel, s3.generators)) == 0
+    assert s3.word_image(parse_word("r", s3.generators)) == s3.gens()[0]
+    assert s3.word_image(parse_word("r^-1", s3.generators)) == s3.inv(s3.gens()[0])
+    with pytest.raises(ValueError, match="letter 2 is outside the 2 generators"):
+        s3.word_image(Word.gen(2))
 
 
 def test_word_image_reduces_exponents_by_group_order(s3):
     # r has order 3 in S3, and 10^12 + 1 = 2 mod 3
-    r = s3.gen_images["r"]
-    assert s3.word_image(parse_word("r^1000000000001")) == s3.inv(r)
-    assert s3.word_image(parse_word("s^-1000000000001*r^-1000000000000")) == s3.word_image(
-        parse_word("s*r^2")
+    r = s3.gens()[0]
+    assert s3.word_image(parse_word("r^1000000000001", s3.generators)) == s3.inv(r)
+    assert s3.word_image(parse_word("s^-1000000000001*r^-1000000000000", s3.generators)) == (
+        s3.word_image(parse_word("s*r^2", s3.generators))
     )
     c64 = catalog_group("C64")
-    a = c64.gen_images["a"]
+    a = c64.gens()[0]
     # 10^12 is divisible by 64, so a^(10^12 + 1) = a and a^-(10^12 + 1) = a^-1
-    assert c64.word_image(parse_word("a^1000000000001")) == a
-    assert c64.word_image(parse_word("a^-1000000000001")) == c64.inv(a)
-    assert c64.word_image(parse_word("a^-1000000000000")) == 0
+    assert c64.word_image(parse_word("a^1000000000001", c64.generators)) == a
+    assert c64.word_image(parse_word("a^-1000000000001", c64.generators)) == c64.inv(a)
+    assert c64.word_image(parse_word("a^-1000000000000", c64.generators)) == 0
     sub = catalog_subgroup("C64", "{a^1000000000001}")
     assert sub == c64.full_subgroup()
     report = pi_n_colimit(NormalTuple(c64, (sub,)))
@@ -139,16 +142,16 @@ def test_derived_subgroups(s3, s4, q8, v4):
 
 
 def test_subgroup_generation(s3):
-    s = s3.gen_images["s"]
-    r = s3.gen_images["r"]
+    s = s3.gens()[1]
+    r = s3.gens()[0]
     assert s3.subgroup([s]).order() == 2
     assert s3.subgroup([r]).order() == 3
     assert s3.subgroup([r, s]).order() == 6
 
 
 def test_normal_closure(s3):
-    r = s3.gen_images["r"]
-    s = s3.gen_images["s"]
+    r = s3.gens()[0]
+    s = s3.gens()[1]
     assert s3.normal_closure([0]).order() == 1
     # a 3-cycle generates the index-2 normal subgroup
     assert s3.normal_closure([r]).order() == 3
@@ -182,6 +185,9 @@ def test_quotient_s4_mod_v4(s4):
     q, proj = s4.quotient(v)
     assert q.n == 6
     assert not is_abelian(q)
+    # each generator of the quotient is read off its permutations
+    assert q.gens() == tuple(proj[g] for g in s4.gens())
+    assert q.generators == s4.generators
     rng = random.Random(23)
     for _ in range(100):
         a = rng.randrange(s4.n)
@@ -190,7 +196,7 @@ def test_quotient_s4_mod_v4(s4):
 
 
 def test_quotient_rejects_non_normal(s3):
-    s = s3.gen_images["s"]
+    s = s3.gens()[1]
     h = s3.subgroup([s])
     with pytest.raises(ValueError):
         s3.quotient(h)
@@ -212,8 +218,8 @@ def test_intersect_and_product_in_v4(v4):
 
 
 def test_product_requires_normal_factor(s3):
-    s = s3.gen_images["s"]
-    rs = s3.mul(s3.gen_images["r"], s)
+    s = s3.gens()[1]
+    rs = s3.mul(s3.gens()[0], s)
     h = s3.subgroup([s])
     k = s3.subgroup([rs])
     for _ in range(2):  # normality is kept on the subgroup; the refusal is not
@@ -236,8 +242,8 @@ def test_commutator_with_trivial(s4):
 
 
 def test_conjugate_by(s3):
-    s = s3.gen_images["s"]
-    r = s3.gen_images["r"]
+    s = s3.gens()[1]
+    r = s3.gens()[0]
     h = s3.subgroup([s])
     hc = h.conjugate_by(r)
     assert hc.order() == 2
@@ -255,7 +261,7 @@ def test_abelian_invariants(s3, q8, v4):
 
 
 def test_quotient_invariants_known(s3):
-    a3 = s3.subgroup([s3.gen_images["r"]])
+    a3 = s3.subgroup([s3.gens()[0]])
     inv = abelian_invariants_of_quotient(s3.full_subgroup(), a3)
     assert inv == AbelianInvariants(0, (2,))
     assert abelian_invariants_of_quotient(a3, a3) == AbelianInvariants(0, ())
@@ -264,8 +270,8 @@ def test_quotient_invariants_known(s3):
 
 
 def test_quotient_invariants_rejections(s3, s4):
-    a3 = s3.subgroup([s3.gen_images["r"]])
-    h2 = s3.subgroup([s3.gen_images["s"]])
+    a3 = s3.subgroup([s3.gens()[0]])
+    h2 = s3.subgroup([s3.gens()[1]])
     full = s3.full_subgroup()
     # results are kept on the numerator, refusals are not: each is raised
     # again, also after full has kept the invariants of full / a3
@@ -293,9 +299,9 @@ def test_quotient_invariants_generator_inside_denominator(s3, s4):
 
 def test_subgroup_validation(s3):
     with pytest.raises(ValueError):
-        FinSubgroup(s3, [0, s3.gen_images["r"]])
+        FinSubgroup(s3, [0, s3.gens()[0]])
     with pytest.raises(ValueError):
-        FinSubgroup(s3, [s3.gen_images["s"]])
+        FinSubgroup(s3, [s3.gens()[1]])
 
 
 def test_order_one_group():
@@ -426,7 +432,7 @@ def test_subgroup_operations_hand_out_one_object_per_member_set():
         assert m.product(n) is n.product(m)
         assert m.commutator(n) is n.commutator(m)
     assert g.derived_subgroup() is g.center()
-    r = g.gen_images["r"]
+    r = g.gens()[0]
     assert g.subgroup([r]) is g.normal_closure([r])
     # the public constructor still validates and builds a separate object
     built = FinSubgroup(g, g.subgroup([r]).members)
@@ -474,7 +480,7 @@ def test_traced_group_subgroup_calculus(d800):
     assert derived.order() == 400
     report = pi_n_colimit(NormalTuple(d800, (derived, d800.full_subgroup())))
     assert report.invariants == AbelianInvariants(0, (2,))
-    r = d800.gen_images["r"]
+    r = d800.gens()[0]
     with pytest.raises(ValueError, match="not closed"):
         FinSubgroup(d800, [0, r])
 

@@ -243,3 +243,19 @@ def test_no_environment_reads_in_the_package():
         and any(alias.name in _ENVIRONMENT for alias in node.names)
     ]
     assert found == [], "the package reads the environment at " + ", ".join(found)
+
+
+_NAME_GRAMMAR = {"NAME", "valid_generator_name"}
+
+
+def test_name_grammar_lives_only_in_presentations():
+    # inside the package a letter is an index; only the DSL knows names
+    found = [
+        f"{name}:{node.lineno}" for name, node in _package_nodes()
+        if name != "presentations.py" and (
+            isinstance(node, ast.Name) and node.id in _NAME_GRAMMAR
+            or isinstance(node, ast.Attribute) and node.attr in _NAME_GRAMMAR
+            or isinstance(node, ast.ImportFrom) and any(a.name in _NAME_GRAMMAR for a in node.names)
+        )
+    ]
+    assert found == [], "the name grammar is used outside presentations at " + ", ".join(found)

@@ -35,10 +35,10 @@ def g23():
     return free_nilpotent(2, 3)
 
 
-def _random_word(rng, names, length):
+def _random_word(rng, letters, length):
     w = Word(())
     for _ in range(length):
-        w = w * Word.gen(rng.choice(names), rng.randint(-2, 2) or 1)
+        w = w * Word.gen(rng.choice(letters), rng.randint(-2, 2) or 1)
     return w
 
 
@@ -111,9 +111,9 @@ _MY = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
 
 def _heisenberg_image(word):
     out = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    mats = {"x1": _MX, "x2": _MY}
-    for name, exp in word.syllables:
-        m = mats[name] if exp > 0 else _mat_inv_unitri(mats[name])
+    mats = [_MX, _MY]
+    for i, exp in word.syllables:
+        m = mats[i] if exp > 0 else _mat_inv_unitri(mats[i])
         for _ in range(abs(exp)):
             out = _mat_mul(out, m)
     return out
@@ -127,7 +127,7 @@ def test_collect_matches_heisenberg_matrices(g22):
     )
     basis_mats = [_MX, _MY, zmat]
     for _ in range(60):
-        w = _random_word(rng, ["x1", "x2"], rng.randint(0, 6))
+        w = _random_word(rng, [0, 1], rng.randint(0, 6))
         u = g22.collect(w)
         direct = _heisenberg_image(w)
         via_nf = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -140,20 +140,21 @@ def test_collect_matches_heisenberg_matrices(g22):
 
 def test_collect_basics(g22):
     assert g22.collect(Word(())) == ()
-    x, y = Word.gen("x1"), Word.gen("x2")
+    x, y = Word.gen(0), Word.gen(1)
     assert g22.collect(commutator(x, y)) == ((2, 1),)
     # x y x^-1 = y [x,y]
-    assert exponents(g22, g22.collect(x * y * x**-1)) == [0, 1, 1]
+    assert exponents(g22, g22.collect(x * y * x.inverse())) == [0, 1, 1]
 
 
 def test_collect_unknown_name(g22):
-    with pytest.raises(ValueError):
-        g22.collect(Word.gen("q"))
+    # letter 2 names no generator of a group of rank 2
+    with pytest.raises(ValueError, match="letter 2 is outside the 2 generators"):
+        g22.collect(Word.gen(2))
 
 
 def test_group_laws_random(g23):
     rng = random.Random(13)
-    els = [g23.collect(_random_word(rng, ["x1", "x2"], rng.randint(1, 5))) for _ in range(12)]
+    els = [g23.collect(_random_word(rng, [0, 1], rng.randint(1, 5))) for _ in range(12)]
     for _ in range(60):
         u, v, w = rng.choice(els), rng.choice(els), rng.choice(els)
         assert g23.mul(g23.mul(u, v), w) == g23.mul(u, g23.mul(v, w))
@@ -180,16 +181,10 @@ def test_commutation_table_weights(g23):
 
 
 def test_element_text(g22):
-    assert g22.element_text(()) == "1"
-    u = g22.collect(Word.gen("x1") * Word.gen("x2") * Word.gen("x1", -1))
-    assert g22.element_text(u) == "x2*[x1,x2]"
-    named = free_nilpotent(2, 2, names=["y0", "y1"])
-    assert named.element_text(named.gen(0)) == "y0"
-
-
-def test_custom_names_validation():
-    with pytest.raises(ValueError):
-        free_nilpotent(2, 2, names=["only_one"])
+    assert g22.element_text((), ["x1", "x2"]) == "1"
+    u = g22.collect(Word.gen(0) * Word.gen(1) * Word.gen(0, -1))
+    assert g22.element_text(u, ["x1", "x2"]) == "x2*[x1,x2]"
+    assert g22.element_text(g22.gen(0), ["y0", "y1"]) == "y0"
 
 
 # -- subgroups -------------------------------------------------------------
@@ -221,7 +216,7 @@ def test_trivial_and_full(g22):
     assert not t.contains(g22.gen(0))
     f = g22.full_subgroup()
     assert f.pivots == [0, 1, 2]
-    assert f.contains(g22.collect(Word.gen("x1", 3) * Word.gen("x2", -2)))
+    assert f.contains(g22.collect(Word.gen(0, 3) * Word.gen(1, -2)))
 
 
 def test_normal_closure(g22):
@@ -282,11 +277,11 @@ def test_intersection_membership_random(g23):
     rng = random.Random(19)
     for _ in range(6):
         seeds_h = [
-            g23.collect(_random_word(rng, ["x1", "x2"], rng.randint(1, 3)))
+            g23.collect(_random_word(rng, [0, 1], rng.randint(1, 3)))
             for _ in range(rng.randint(1, 2))
         ]
         seeds_k = [
-            g23.collect(_random_word(rng, ["x1", "x2"], rng.randint(1, 3)))
+            g23.collect(_random_word(rng, [0, 1], rng.randint(1, 3)))
             for _ in range(rng.randint(1, 2))
         ]
         h = normal_closure_pc(g23, seeds_h)
@@ -356,7 +351,7 @@ def test_central_quotient_rejections(g22):
 def test_projection_compatible_with_collection(g22, g23):
     rng = random.Random(29)
     for _ in range(30):
-        w = _random_word(rng, ["x1", "x2"], rng.randint(0, 5))
+        w = _random_word(rng, [0, 1], rng.randint(0, 5))
         assert project_element(g22, g23.collect(w)) == g22.collect(w)
 
 

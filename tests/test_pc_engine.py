@@ -1,7 +1,8 @@
-"""The pc engine: generator names, and intersect_pc against the reference
-that keeps its own pair sift, insert and naive closure
-(oracles.intersect_pc_paired) and against subgroup indices, and is_normal
-against a check that also conjugates by inverse generators."""
+"""The pc engine: the names of its generators, which the DSL checks, and
+intersect_pc against the reference that keeps its own pair sift, insert
+and naive closure (oracles.intersect_pc_paired) and against subgroup
+indices, and is_normal against a check that also conjugates by inverse
+generators."""
 
 import itertools
 import math
@@ -11,14 +12,18 @@ import pytest
 
 from oracles import intersect_pc_paired, is_normal_two_sided
 from picolim.nilpotent import free_nilpotent, intersect_pc, normal_closure_pc, subgroup
+from picolim.presentations import parse_word, parse_words
 from picolim.words import Word
 from picolim.wu import WuConfiguration
 
 
 @pytest.mark.parametrize("names", [("x", "x"), ("x", "y", "x"), ("x", "2y")])
 def test_generator_names_rejected(names):
-    with pytest.raises(ValueError, match="generator name"):
-        free_nilpotent(len(names), 2, names=names)
+    # a pc group keeps no names; the names of its generators are checked
+    # where words are parsed against them
+    for parse in (parse_word, parse_words):
+        with pytest.raises(ValueError, match=r"^(duplicate generator 'x'|bad generator name '2y')$"):
+            parse("x", names)
 
 
 def _assert_matches_reference(H, K):
@@ -92,13 +97,13 @@ def test_wu_closures(n, cls):
 
 
 def test_braid_closures():
-    x, y, z = Word.gen("x"), Word.gen("y"), Word.gen("z")
+    x, y, z = Word.gen(0), Word.gen(1), Word.gen(2)
     words = [
         x * y * x * (y * x * y).inverse(),
         y * z * y * (z * y * z).inverse(),
         x * z * (z * x).inverse(),
     ]
-    G = free_nilpotent(3, 4, names=("x", "y", "z"))
+    G = free_nilpotent(3, 4)
     closures = [normal_closure_pc(G, [G.collect(w)]) for w in words]
     for H, K in itertools.combinations(closures, 2):
         _assert_matches_reference(H, K)

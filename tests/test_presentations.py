@@ -9,55 +9,59 @@ from picolim.presentations import (
     parse_presentation,
     parse_word,
     parse_words,
+    render_word,
     tietze,
 )
 from picolim.tensor import build_T
-from picolim.words import Word, commutator, render_word
+from picolim.words import Word, commutator
+
+AB = ["a", "b"]
+XY = ["x", "y"]
 
 
 def test_parse_simple_products():
-    assert parse_word("a*b^2*a^-1").syllables == (("a", 1), ("b", 2), ("a", -1))
-    assert parse_word("x1*x2^-3").syllables == (("x1", 1), ("x2", -3))
+    assert parse_word("a*b^2*a^-1", AB).syllables == ((0, 1), (1, 2), (0, -1))
+    assert parse_word("x1*x2^-3", ["x1", "x2"]).syllables == ((0, 1), (1, -3))
 
 
 def test_parse_identity_form():
-    assert parse_word("g^0").is_identity()
+    assert parse_word("g^0", ["g"]).is_identity()
 
 
 def test_parse_brackets():
-    x, y = Word.gen("x"), Word.gen("y")
-    assert parse_word("[x,y]") == commutator(x, y)
-    assert parse_word("[x,[y,x]]") == commutator(x, commutator(y, x))
-    assert parse_word("[x*y^2,y]") == commutator(x * y * y, y)
+    x, y = Word.gen(0), Word.gen(1)
+    assert parse_word("[x,y]", XY) == commutator(x, y)
+    assert parse_word("[x,[y,x]]", XY) == commutator(x, commutator(y, x))
+    assert parse_word("[x*y^2,y]", XY) == commutator(x * y * y, y)
 
 
 def test_brackets_take_no_exponent():
     with pytest.raises(ParseError):
-        parse_word("[x,y]^2")
+        parse_word("[x,y]^2", XY)
 
 
 def test_bracket_is_a_whole_word():
     # grammar: a bracket is a word alternative, not a product factor
     with pytest.raises(ParseError):
-        parse_word("[x,y]*x^2")
+        parse_word("[x,y]*x^2", XY)
 
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as info:
-        parse_word("a**b")
+        parse_word("a**b", AB)
     assert info.value.line == 1
     assert info.value.column >= 2
 
 
 def test_unknown_generator_rejected_with_alphabet():
     with pytest.raises(ParseError) as info:
-        parse_word("a*q", generators=["a", "b"])
+        parse_word("a*q", AB)
     assert (info.value.line, info.value.column) == (1, 3)
-    assert parse_word("a*b", generators=["a", "b"]).syllables == (("a", 1), ("b", 1))
+    assert parse_word("a*b", AB).syllables == ((0, 1), (1, 1))
 
 
 def test_parse_words_list():
-    words = parse_words("a^2, [a,b], b^0")
+    words = parse_words("a^2, [a,b], b^0", AB)
     assert len(words) == 3
     assert words[2].is_identity()
 
@@ -67,8 +71,8 @@ def test_parse_presentation():
     assert p.generators == ("a", "b")
     assert len(p.relators) == 3
     assert p.relators[0] == (0, 0)
-    assert p.relators[2] == p.encode(commutator(Word.gen("a"), Word.gen("b")))
-    assert p.word(p.relators[2]) == commutator(Word.gen("a"), Word.gen("b"))
+    assert p.relators[2] == p.encode(commutator(Word.gen(0), Word.gen(1)))
+    assert p.word(p.relators[2]) == commutator(Word.gen(0), Word.gen(1))
 
 
 def test_parse_presentation_no_relators():
@@ -84,6 +88,11 @@ def test_presentation_rejects_foreign_relator():
 def test_presentation_duplicate_generator():
     with pytest.raises(ValueError):
         Presentation(("a", "a"))
+
+
+def test_encode_refuses_a_letter_outside_the_generators():
+    with pytest.raises(ValueError, match="letter 2 is outside the 2 generators"):
+        Presentation(AB).encode(Word.gen(2))
 
 
 @pytest.mark.parametrize(
@@ -112,8 +121,8 @@ def test_render_round_trip():
 
 def test_word_render_round_trip():
     for text in ("a*b^-2*a^3", "x^0", "[a,b]"):
-        w = parse_word(text, generators=["a", "b", "x"])
-        back = parse_word(render_word(w, fallback_generator="a"))
+        w = parse_word(text, ["a", "b", "x"])
+        back = parse_word(render_word(w, ["a", "b", "x"]), ["a", "b", "x"])
         assert back == w
 
 
@@ -199,8 +208,8 @@ def test_tietze_leaves_a_presentation_without_short_relators_alone():
 
 def test_encode_refuses_words_over_the_letter_budget():
     p = Presentation(["a", "b"])
-    assert p.encode(parse_word("a^1000000")) == (0,) * 1_000_000
+    assert p.encode(parse_word("a^1000000", AB)) == (0,) * 1_000_000
     with pytest.raises(BudgetError, match="word of 1000001 letters exceeds the budget"):
-        p.encode(parse_word("a^1000000*b"))
+        p.encode(parse_word("a^1000000*b", AB))
     with pytest.raises(BudgetError, match="word of 1000000000 letters"):
         parse_presentation("gens: a | rels: a^1000000000")

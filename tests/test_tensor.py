@@ -120,7 +120,7 @@ def test_act_stays_inside_symbols():
     tp = build_T(_full_tuple("S3", 2))
     g = catalog_group("S3")
     for s in tp.symbols[:10]:
-        moved = tp.act(g.gen_images["r"], s)
+        moved = tp.act(g.gens()[0], s)
         assert moved in tp.column
 
 

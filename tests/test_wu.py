@@ -38,7 +38,7 @@ def test_validation():
 def test_extra_letter_closes_the_product():
     cfg = WuConfiguration(2, 3)
     G = cfg.group()
-    prod = G.collect(Word.gen("y0") * Word.gen("y1"))
+    prod = G.collect(Word.gen(0) * Word.gen(1))
     assert G.mul(prod, cfg.letters[0]) == ()
 
 
@@ -93,7 +93,7 @@ def test_membership_of_identity():
 def test_membership_of_a_word_that_collapses():
     # [[[y0,y1],y0],[y0,y1]] has weight 5, so it is the identity at class 3
     cfg = WuConfiguration(2, 3)
-    w = parse_word("[[[y0,y1],y0],[y0,y1]]")
+    w = parse_word("[[[y0,y1],y0],[y0,y1]]", cfg.names)
     assert w.syllables
     assert cfg.group().collect(w) == ()
     out = membership_check(w, cfg)
@@ -104,7 +104,7 @@ def test_membership_of_a_word_that_collapses():
 
 def test_membership_outside_numerator():
     cfg = WuConfiguration(2, 3)
-    out = membership_check(Word.gen("y0"), cfg)
+    out = membership_check(Word.gen(0), cfg)
     assert not out["in_numerator"]
     assert out["order_in_quotient"] is None
     assert "not in the numerator" in out["note"]
@@ -113,7 +113,7 @@ def test_membership_outside_numerator():
 def _covering_commutators(length):
     """Left-normed commutators, as words, of the tuples of `length` signed
     letters y_-1 = (y0 y1)^-1, y0, y1 in which every letter occurs."""
-    letters = [(Word.gen("y0") * Word.gen("y1")).inverse(), Word.gen("y0"), Word.gen("y1")]
+    letters = [(Word.gen(0) * Word.gen(1)).inverse(), Word.gen(0), Word.gen(1)]
     signed = [(i, (w, e)) for i, w in enumerate(letters) for e in (1, -1)]
     for combo in itertools.product(signed, repeat=length):
         if len({i for i, _ in combo}) == 3:
