@@ -1,12 +1,12 @@
 """Print the first few nested-bracket generator candidates and test their
 membership in the truncated quotients where they are expected to matter."""
 
-from picolim.presentations import render_word
+from picolim.presentations import render_brackets, render_word
 from picolim.words import hopf, hopf_element
-from picolim.wu import WuConfiguration, membership_check
+from picolim.wu import WuConfiguration, letter_names, membership_check
 
 for k in range(1, 5):
-    print(f"h({k}) = {hopf(k)[1]}")
+    print(f"h({k}) = {render_brackets(hopf(k)[1], letter_names(k + 1))}")
 print()
 
 for n, c in ((2, 3), (2, 4)):

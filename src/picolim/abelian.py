@@ -1,17 +1,16 @@
-"""Integer matrix normal forms and abelian invariants.
+"""Integer matrix normal forms and abelian invariants, on the one echelon.
 
 Everything here is exact: plain Python ints, no floats.  At the interface
 row vectors are dense lists of ints and matrices are lists of rows of equal
-length.  Inside, `hermite_reduce` keeps each row as a sparse {column:
-value} dict and inserts rows by leading column with gcd steps: Schreier
-relation matrices carry two or three nonzeros per row, and sparse rows
-are what makes such badly presented Z-modules tractable (Havas, Holt and
-Rees, "Recognizing badly presented Z-modules", Linear Algebra Appl. 192,
-1993).  `smith_normal_form` splits off the unit pivots of that Hermite
-form and runs a dense elimination, with pivots of minimal absolute value,
-only on the block that remains.  The order of an element in a quotient
-comes from the same Smith form, by comparing the invariants of the
-lattice with and without the element.
+length.  Inside, a row is a sparse element of Z^n (_Lattice), and a lattice
+is held as an echelon of such rows: _sift, _insert, _canonical and
+_order_mod run over any group arithmetic, and nilpotent runs the same
+routines for the igs of subgroups of free nilpotent groups.  Sparse rows
+make badly presented Z-modules such as Schreier relation matrices
+tractable (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
+`smith_normal_form` splits off the unit pivots of the Hermite form and runs
+a dense elimination, with pivots of minimal absolute value, only on the
+block that remains.
 """
 
 from itertools import compress
@@ -76,66 +75,63 @@ def hermite_reduce(rows, ncols):
 
     Returns rows sorted by pivot column, pivots positive, entries above each
     pivot reduced into [0, pivot).  This is the canonical (row) Hermite form
-    of the lattice.  Rows come in and go out dense; in between each is a
-    {column: value} dict of its nonzeros.
+    of the lattice, which _canonical makes of the echelon.
     """
-    basis = {}  # pivot column -> sparse row
-    for given in rows:
-        if len(given) != ncols:
-            raise ValueError("ragged matrix")
-        pending = [dict(compress(enumerate(given), given))]
-        while pending:
-            vec = pending.pop()
-            while vec:
-                col = min(vec)
-                row = basis.get(col)
-                if row is None:
-                    if vec[col] < 0:
-                        vec = {j: -v for j, v in vec.items()}
-                    basis[col] = vec
-                    break
-                a, b = row[col], vec[col]
-                if b % a == 0:
-                    _add_multiple(vec, -(b // a), row)
-                    continue
-                # replace the pivot row by the gcd combination, recycle the rest
-                g = gcd(a, b)
-                x, y = _bezout(a, b, g)
-                comb = {}
-                _add_multiple(comb, x, row)
-                _add_multiple(comb, y, vec)
-                _add_multiple(vec, -(b // g), comb)
-                _add_multiple(row, -(a // g), comb)
-                basis[col] = comb
-                pending.append(row)
-
-    cols = sorted(basis)
-    # reduce above-pivot entries, bottom up, so each row subtracted is final
-    for i in range(len(cols) - 2, -1, -1):
-        row = basis[cols[i]]
-        for cj in cols[i + 1 :]:
-            v = row.get(cj)
-            if v:
-                _add_multiple(row, -(v // basis[cj][cj]), basis[cj])
     out = []
-    for c in cols:
+    for _, row in sorted(_canonical(_Lattice, _echelon(rows, ncols)).items()):
         dense = [0] * ncols
-        for j, v in basis[c].items():
+        for j, v in row:
             dense[j] = v
         out.append(dense)
     return out
 
 
-def _add_multiple(vec, q, row):
-    """vec += q * row on sparse rows, in place, keeping only nonzeros."""
-    if not q:
-        return
-    for j, r in row.items():
-        v = vec.get(j, 0) + q * r
-        if v:
-            vec[j] = v
-        else:
-            del vec[j]
+def _echelon(rows, ncols):
+    """Pivot rows of the lattice spanned by dense rows of length ncols."""
+    basis = {}
+    for row in rows:
+        _insert(_Lattice, basis, _sparse(row, ncols))
+    return basis
+
+
+def _sparse(row, ncols):
+    """The _Lattice element of a dense row of length ncols."""
+    if len(row) != ncols:
+        raise ValueError("ragged matrix")
+    return tuple(compress(enumerate(row), row))
+
+
+class _Lattice:
+    """Z^n as a group arithmetic for the echelon: an element is a tuple of
+    (column, nonzero value) pairs in increasing column order, the shape of
+    a pc normal form, as Z^n is the free nilpotent group of class 1 (Sims,
+    Computation with Finitely Presented Groups, 1994, ch. 9)."""
+
+    @staticmethod
+    def mul(u, v):
+        """The sum, by one merge of the two column orders."""
+        out, i, j = [], 0, 0
+        while i < len(u) and j < len(v):
+            (a, x), (b, y) = u[i], v[j]
+            if a != b:
+                out.append(u[i] if a < b else v[j])
+            elif x + y:
+                out.append((a, x + y))
+            i += a <= b
+            j += b <= a
+        return (*out, *u[i:], *v[j:])
+
+    @staticmethod
+    def pow(u, k):
+        return tuple([(j, k * x) for j, x in u]) if k else ()
+
+    @staticmethod
+    def inv(u):
+        return tuple([(j, -x) for j, x in u])
+
+    @staticmethod
+    def lead(u):
+        return u[0] if u else None
 
 
 def _bezout(a, b, g):
@@ -151,6 +147,100 @@ def _bezout(a, b, g):
     if old_r == g:
         return old_s, old_t
     return -old_s, -old_t
+
+
+# -- the echelon -----------------------------------------------------------
+#
+# Rows map each pivot to the one row that leads there.  A is a group
+# arithmetic with mul, pow, inv and lead (the leading (index, exponent) of
+# u, or None for the identity): _Lattice, a PcGroup, or the pairs of
+# nilpotent.intersect_pc, which only _sift and _insert take.  The echelon
+# is sound as the coordinate at d is additive on the elements leading at d
+# or later.
+
+
+def _sift(A, rows, u, taken=None):
+    """Divide exact multiples of pivot rows out of u; returns the residual,
+    whose lead is None iff u is a member.  The exponent divided out at
+    each pivot is recorded in taken, if given."""
+    lead = A.lead(u)
+    while lead is not None:
+        d, e = lead
+        row = rows.get(d)
+        if row is None:
+            return u
+        m = A.lead(row)[1]
+        if e % m:
+            return u
+        if taken is not None:
+            taken[d] = e // m
+        u = A.mul(A.pow(row, -(e // m)), u)
+        lead = A.lead(u)
+    return u
+
+
+def _insert(A, rows, u):
+    """Euclid insertion of u into pivot rows; returns indices of changed pivots."""
+    changed = []
+    pending = [u]
+    while pending:
+        u = _sift(A, rows, pending.pop())
+        lead = A.lead(u)
+        if lead is None:
+            continue
+        d, e = lead
+        row = rows.get(d)
+        if row is None:
+            rows[d] = u if e > 0 else A.inv(u)
+            changed.append(d)
+            continue
+        m = A.lead(row)[1]
+        g = gcd(m, e)
+        x, y = _bezout(m, e, g)
+        new = A.mul(A.pow(row, x), A.pow(u, y))
+        if A.lead(new) != (d, g):
+            raise InternalError(f"gcd row at pivot {d} does not lead with exponent {g}")
+        rows[d] = new
+        changed.append(d)
+        pending.append(A.mul(A.pow(new, -(m // g)), row))
+        pending.append(A.mul(A.pow(new, -(e // g)), u))
+    return changed
+
+
+def _canonical(A, rows):
+    """Reduce the entries of each row at later pivots into [0, pivot), left
+    to right.  Right-multiplying by the row that leads at i changes no
+    coordinate before i and adds a multiple of its pivot at i, so the
+    entries already passed stay as they are."""
+    for d in sorted(rows):
+        r = rows[d]
+        k = 1
+        while k < len(r):
+            i, e = r[k]
+            q = e // rows[i][0][1] if i in rows else 0  # floor: residues in [0, m)
+            if q:
+                r = A.mul(r, A.pow(rows[i], -q))
+            if k < len(r) and r[k][0] == i:
+                k += 1
+        rows[d] = r
+    return rows
+
+
+def _order_mod(A, rows, z):
+    """Least k >= 1 with z^k in the subgroup with the given rows, or None;
+    the subgroup is normal, so cosets of powers of z are powers of the coset."""
+    k = 1
+    v = _sift(A, rows, z)
+    while v:
+        d, e = v[0]
+        row = rows.get(d)
+        if row is None:
+            return None
+        m = row[0][1]
+        t = m // gcd(e, m)
+        k *= t
+        v = _sift(A, rows, A.pow(v, t))
+    return k
 
 
 def smith_normal_form(rows, ncols):
@@ -240,20 +330,7 @@ def _diagonalize(m, ncols):
 def order_in_quotient(vec, rows, ncols):
     """Order of vec + L in Z^ncols / L, where L is spanned by `rows`.
 
-    Returns a positive int, or None for infinite order.  Z^ncols / L is
-    Z^r + T with T finite.  If vec + L has infinite order, L + <vec> has
-    smaller free rank.  Otherwise vec + L spans a cyclic subgroup of T of
-    order k, and dividing it out leaves torsion of order |T| / k.
+    Returns a positive int, or None for infinite order, from _order_mod
+    on the echelon of L; every subgroup of Z^ncols is normal.
     """
-    lattice = AbelianInvariants.from_relation_matrix(rows, ncols)
-    grown = AbelianInvariants.from_relation_matrix([*rows, vec], ncols)
-    if grown.free_rank < lattice.free_rank:
-        return None
-    k = prod(lattice.torsion) // prod(grown.torsion)
-    # k * vec lies in L exactly when adding it leaves the invariants alone:
-    # Z^ncols / L maps onto Z^ncols / (L + <k vec>), and a surjection between
-    # isomorphic finitely generated abelian groups is injective
-    again = AbelianInvariants.from_relation_matrix([*rows, [k * v for v in vec]], ncols)
-    if again != lattice:
-        raise InternalError(f"order {k} does not put the element in the lattice")
-    return k
+    return _order_mod(_Lattice, _echelon(rows, ncols), _sparse(vec, ncols))

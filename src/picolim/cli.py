@@ -20,7 +20,7 @@ hall.BASIS_BUDGET, finite.ORDER_CAP, tensor.RELATOR_BUDGET); no
 environment variable changes any of them.
 
 A word on the command line (--r, --s, --member) is parsed against the
-names of its group (--names, or y0 .. y{n-1}) before any computation and
+names of its group (--names, or wu.letter_names) before any computation and
 reaches the engines as integer letters; output renders it over them.
 """
 
@@ -44,10 +44,10 @@ from .colimit import (
 from .coset import COSET_LIMIT, todd_coxeter
 from .errors import BudgetError, ConnectivityError, InternalError, ParseError
 from .finite import FiniteGroup
-from .presentations import parse_presentation, parse_word, render_word
+from .presentations import parse_presentation, parse_word, render_brackets, render_word
 from .tensor import build_T, kernel_of_boundary
 from .words import hopf
-from .wu import WuConfiguration, braid_check, membership_check, wu_report
+from .wu import WuConfiguration, braid_check, letter_names, membership_check, wu_report
 
 SCHEMA = 2
 
@@ -232,13 +232,13 @@ def _cmd_wu(args):
 
 
 def _cmd_hopf(args):
-    word, brackets = hopf(args.k)
-    names = [f"y{i}" for i in range(args.k + 1)]
+    word, nest = hopf(args.k)
+    names = letter_names(args.k + 1)
     payload = {
         "verb": "hopf",
         "k": args.k,
         "word": render_word(word, names),
-        "brackets": brackets,
+        "brackets": render_brackets(nest, names),
         "letters": [names[i] for i in word.generators()],
     }
     if args.class_bound is not None:

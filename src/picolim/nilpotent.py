@@ -27,8 +27,9 @@ pivots.  Membership is decided by sifting.  On the set of elements whose
 support starts at index d or later, the coordinate at d is additive, which
 is what makes echelon arithmetic on rows sound.
 
-Sift and insert run over any group arithmetic with mul, pow, inv and
-lead: the pc group itself for subgroups, and pairs (kappa, eta) whose value
+The igs is the echelon of abelian, which also holds the lattices of
+Hermite forms, Z^n being free nilpotent of class 1.  Here it runs on the
+pc group itself for subgroups, and on pairs (kappa, eta) whose value
 kappa * eta is tracked for intersections, so that members of a product
 K * H split into their parts.  Subgroups are closed by a semi-naive
 closure; the pair rows of an intersection need none, and neither do the
@@ -39,7 +40,7 @@ import math
 from bisect import bisect_right
 from itertools import compress
 
-from .abelian import AbelianInvariants, _bezout
+from .abelian import AbelianInvariants, _canonical, _insert, _order_mod, _sift
 from .errors import InternalError
 from .hall import HallBasis
 from .magnus import ConjugationTable
@@ -297,58 +298,7 @@ def free_nilpotent(rank, cls):
     return PcGroup(HallBasis(rank, cls))
 
 
-# -- igs rows --------------------------------------------------------------
-#
-# In _sift and _insert, A is PcGroup or _Pairs; A.lead(u) is the leading
-# (basis index, exponent) of u, or None for the identity.
-
-
-def _sift(A, rows, u, taken=None):
-    """Divide exact multiples of pivot rows out of u; returns the residual,
-    whose lead is None iff u is a member.  The exponent divided out at
-    each pivot is recorded in taken, if given."""
-    lead = A.lead(u)
-    while lead is not None:
-        d, e = lead
-        row = rows.get(d)
-        if row is None:
-            return u
-        m = A.lead(row)[1]
-        if e % m:
-            return u
-        if taken is not None:
-            taken[d] = e // m
-        u = A.mul(A.pow(row, -(e // m)), u)
-        lead = A.lead(u)
-    return u
-
-
-def _insert(A, rows, u):
-    """Euclid insertion of u into pivot rows; returns indices of changed pivots."""
-    changed = []
-    pending = [u]
-    while pending:
-        u = _sift(A, rows, pending.pop())
-        lead = A.lead(u)
-        if lead is None:
-            continue
-        d, e = lead
-        row = rows.get(d)
-        if row is None:
-            rows[d] = u if e > 0 else A.inv(u)
-            changed.append(d)
-            continue
-        m = A.lead(row)[1]
-        g = math.gcd(m, e)
-        x, y = _bezout(m, e, g)
-        new = A.mul(A.pow(row, x), A.pow(u, y))
-        if A.lead(new) != (d, g):
-            raise InternalError(f"gcd row at pivot {d} does not lead with exponent {g}")
-        rows[d] = new
-        changed.append(d)
-        pending.append(A.mul(A.pow(new, -(m // g)), row))
-        pending.append(A.mul(A.pow(new, -(e // g)), u))
-    return changed
+# -- subgroups -------------------------------------------------------------
 
 
 def _close(G, rows, conjugate_by=()):
@@ -380,28 +330,6 @@ def _close(G, rows, conjugate_by=()):
         probes += [G.conj(a, g) for g in conjugate_by]
         for p in probes:
             dirty.update(_insert(G, rows, p))
-
-
-def _canonical(G, rows):
-    """Hermite-reduce entries above later pivots; right-multiplying by rows
-    with deeper pivots does not disturb earlier coordinates."""
-    pivots = sorted(rows)
-    for d in pivots:
-        r = rows[d]
-        changed = True
-        while changed:
-            changed = False
-            for i, e in r:
-                if i == d or i not in rows:
-                    continue
-                m = rows[i][0][1]
-                q = e // m  # floor: residues in [0, m)
-                if q:
-                    r = G.mul(r, G.pow(rows[i], -q))
-                    changed = True
-                    break
-        rows[d] = r
-    return rows
 
 
 class PcSubgroup:
@@ -623,23 +551,6 @@ def intersect_pc(H, K):
     if not (H.contains_subgroup(out) and K.contains_subgroup(out)):
         raise InternalError("intersection escapes one of its operands")
     return out
-
-
-def _order_mod(G, rows, z):
-    """Least k >= 1 with z^k in the subgroup with the given rows, or None;
-    the subgroup is normal, so cosets of powers of z are powers of the coset."""
-    k = 1
-    v = _sift(G, rows, z)
-    while v:
-        d, e = v[0]
-        row = rows.get(d)
-        if row is None:
-            return None
-        m = row[0][1]
-        t = m // math.gcd(e, m)
-        k *= t
-        v = _sift(G, rows, G.pow(v, t))
-    return k
 
 
 # -- quotient invariants ---------------------------------------------------

@@ -48,6 +48,16 @@ def render_word(w, names):
     return "*".join(names[i] if exp == 1 else f"{names[i]}^{exp}" for i, exp in w.syllables)
 
 
+def render_brackets(nest, names):
+    """Render a bracket nesting (words.hopf) as `[[y0,y1],[y0,y1y2]]`: a
+    tuple of letter indices is their product, the names side by side, and
+    a pair of nestings is their commutator."""
+    if all(isinstance(i, int) for i in nest):
+        return "".join(names[i] for i in nest)
+    left, right = nest
+    return f"[{render_brackets(left, names)},{render_brackets(right, names)}]"
+
+
 class Presentation:
     """Generator names plus relators as freely reduced column tuples.
 

@@ -26,7 +26,6 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .abelian import AbelianInvariants
-from .colimit import NormalTuple
 from .coset import (
     COSET_LIMIT,
     coset_table_from_action,
@@ -137,18 +136,6 @@ def _three_block_partitions(n):
 
 def build_T(t):
     """Tensor presentation of a NormalTuple over the finite engine."""
-    return _build(t)
-
-
-def build_E(G, M, N):
-    """build_T for (G, M, N) plus the square relators x (x) x = 1 for
-    nontrivial x in M cap N, at every partition whose two blocks both
-    contain x."""
-    t = NormalTuple(G, (G.full_subgroup(), M, N))
-    return _build(t, squares=[x for x in M.intersect(N).members if x != 0])
-
-
-def _build(t, squares=None):
     G = t.ambient
     if not isinstance(G, FiniteGroup):
         raise TypeError("tensor builder needs the finite engine")
@@ -250,13 +237,6 @@ def _build(t, squares=None):
         emit((s1, s1, s1 ^ 1, act[i]), "conjugation")
         relators.extend(zip(repeat(s1), cols[i + 1:], repeat(s1 ^ 1), act[i + 1:]))
     families["conjugation"] += len(symbols) * (len(symbols) - 1)
-
-    if squares is not None:
-        families["square"] = 0
-        for x in squares:
-            for A, B in partitions:
-                if blocks[A].contains(x) and blocks[B].contains(x):
-                    emit((column[(A, B, x, x)],), "square")
 
     return TensorPresentation(G, column, relators, families)
 

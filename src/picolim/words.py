@@ -13,15 +13,15 @@ commutator constructor used throughout the package, with the convention
 
     commutator(x, y) = x y x^-1 y^-1
 
-and the family of iterated commutator words hopf_element(k) built from
-letters y0, y1, ... (letter i is yi) by
+and the family of iterated commutator words hopf_element(k) over the
+letters 0..k, written y_0..y_k here, built by
 
-    h(1) = [y0, y1]
-    h(k) = [h(k-1), h(k-1) with its trailing product y1...y(k-1)
-            extended by the next letter yk]
+    h(1) = [y_0, y_1]
+    h(k) = [h(k-1), h(k-1) with its trailing product y_1...y_(k-1)
+            extended by the next letter y_k]
 
-so h(2) = [[y0,y1],[y0,y1*y2]], h(3) = [h(2), [[y0,y1],[y0,y1*y2*y3]]] and
-so on.  hopf(k) also renders the nested bracket expression.
+so h(2) = [[y_0,y_1],[y_0,y_1 y_2]] and so on.  hopf(k) also gives the
+nesting of its brackets, which presentations.render_brackets writes out.
 """
 
 from .errors import BudgetError
@@ -65,11 +65,28 @@ class Word:
     def is_identity(self):
         return not self.syllables
 
+    @classmethod
+    def _of(cls, syllables):
+        """A Word of reduced syllables, unchecked."""
+        word = object.__new__(cls)
+        word.syllables = syllables
+        return word
+
     def __mul__(self, other):
-        return Word(self.syllables + other.syllables)
+        """Both operands are reduced, so only syllables across the junction
+        cancel, pair by pair, and the first pair that does not merges."""
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen, exp = left[i - 1][0], left[i - 1][1] + right[j][1]
+            if exp:
+                return Word._of(left[: i - 1] + ((gen, exp),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return Word._of(left[:i] + right[j:])
 
     def inverse(self):
-        return Word(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
+        return Word._of(tuple((gen, -exp) for gen, exp in reversed(self.syllables)))
 
     def length(self):
         """Letter count of the reduced word."""
@@ -109,13 +126,15 @@ def hopf_letter_bound(k):
 
 
 def hopf(k):
-    """h(k) as a word and as bracket text, e.g. [[y0,y1],[y0,y1y2]];
-    refused before it is built when U(k, k) exceeds LETTER_BUDGET.
+    """h(k) as a word and as its bracket nesting, refused before it is
+    built when U(k, k) exceeds LETTER_BUDGET.  In the nesting a tuple of
+    letter indices is their product and a pair of nestings is their
+    commutator: h(2) nests as (((0,), (1,)), ((0,), (1, 2))).
 
     Built level by level: level j holds h(j, m) for m = j..k, h(j) with its
-    innermost trailing product extended to y1...ym, so h(j) = h(j, j).
-    Level 1 is [y0, y1...ym] and h(j, m) = [h(j-1, j-1), h(j-1, m)], so each
-    of the k(k+1)/2 pairs (j, m) is built once.
+    innermost trailing product extended to y_1...y_m, so h(j) = h(j, j).
+    Level 1 is [y_0, y_1...y_m] and h(j, m) = [h(j-1, j-1), h(j-1, m)], so
+    each of the k(k+1)/2 pairs (j, m) is built once.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -127,12 +146,11 @@ def hopf(k):
     y0 = Word.gen(0)
     level = []
     for m in range(1, k + 1):
-        tail = Word(tuple((i, 1) for i in range(1, m + 1)))
-        text = "".join(f"y{i}" for i in range(1, m + 1))
-        level.append((commutator(y0, tail), f"[y0,{text}]"))
+        tail = tuple(range(1, m + 1))
+        level.append((commutator(y0, Word(tuple((i, 1) for i in tail))), ((0,), tail)))
     for _ in range(1, k):
-        (left, left_text), rest = level[0], level[1:]
-        level = [(commutator(left, w), f"[{left_text},{text}]") for w, text in rest]
+        (left, left_nest), rest = level[0], level[1:]
+        level = [(commutator(left, w), (left_nest, nest)) for w, nest in rest]
     return level[0]
 
 

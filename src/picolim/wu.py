@@ -25,17 +25,15 @@ one lies in the normal closure of its prefix.
 
 from functools import cached_property, reduce
 
-from .abelian import order_in_quotient
+from .abelian import _canonical, _insert, order_in_quotient
 from .errors import InternalError
-from .nilpotent import (
-    PcSubgroup,
-    _canonical,
-    _insert,
-    free_nilpotent,
-    intersect_pc,
-    normal_closure_pc,
-)
+from .nilpotent import PcSubgroup, free_nilpotent, intersect_pc, normal_closure_pc
 from .words import Word
+
+
+def letter_names(n):
+    """The names y0 .. y{n-1} of the letters, the one place they are spelled."""
+    return tuple(f"y{i}" for i in range(n))
 
 
 class WuConfiguration:
@@ -51,7 +49,7 @@ class WuConfiguration:
             )
         self.n = n
         self.class_bound = class_bound
-        self.names = tuple(f"y{i}" for i in range(n))
+        self.names = letter_names(n)
         self._group = None
         self._den = None
         self._num = None

@@ -709,10 +709,10 @@ def one_orientation_presentation(tp):
     return Presentation(names, relators)
 
 
-def tensor_relators_exhaustive(t, squares=None):
+def tensor_relators_exhaustive(t):
     """(relators, families) of the tensor presentation of a NormalTuple,
     one free reduction and one conjugation per symbol for every relator
-    instance, in the order and with the deduplication of tensor._build."""
+    instance, in the order and with the deduplication of tensor.build_T."""
     G = t.ambient
     n = t.n
     partitions = _ordered_partitions(n)
@@ -771,13 +771,6 @@ def tensor_relators_exhaustive(t, squares=None):
         for (A, B, a, b), s2 in column.items():
             s3 = column[(A, B, G.conj(g, a), G.conj(g, b))]
             emit((s1, s2, s1 ^ 1, s3 ^ 1), "conjugation")
-
-    if squares is not None:
-        families["square"] = 0
-        for x in squares:
-            for A, B in partitions:
-                if blocks[A].contains(x) and blocks[B].contains(x):
-                    emit((column[(A, B, x, x)],), "square")
     return relators, families
 
 
@@ -929,14 +922,15 @@ def left_normed_commutator(entries):
 
 def hopf_recursive(k, m=None):
     """h(k) with its innermost trailing product extended to y1...ym, as a
-    word and as bracket text, by the defining recursion
-    h(k, m) = [h(k-1, k-1), h(k-1, m)]; h(k) itself is hopf_recursive(k)."""
+    word and as bracket nesting over letter indices, by the defining
+    recursion h(k, m) = [h(k-1, k-1), h(k-1, m)]; h(k) itself is
+    hopf_recursive(k)."""
     if m is None:
         m = k
     if k == 1:
-        tail = range(1, m + 1)
-        left = (Word.gen(0), "y0")
-        right = (Word(tuple((i, 1) for i in tail)), "".join(f"y{i}" for i in tail))
+        tail = tuple(range(1, m + 1))
+        left = (Word.gen(0), (0,))
+        right = (Word(tuple((i, 1) for i in tail)), tail)
     else:
         left, right = hopf_recursive(k - 1), hopf_recursive(k - 1, m)
-    return commutator(left[0], right[0]), f"[{left[1]},{right[1]}]"
+    return commutator(left[0], right[0]), (left[1], right[1])

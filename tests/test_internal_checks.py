@@ -20,10 +20,10 @@ assert False, "asserts must be off under -O"
 _ABELIAN = """
 import picolim.abelian as ab
 
-# every torsion product reads 1, so the order comes out as 1
-ab.prod = lambda torsion: 1
+# a Bezout pair that ignores b: the gcd row of 2 and 3 still leads with 2
+ab._bezout = lambda a, b, g: (1, 0)
 try:
-    ab.order_in_quotient([1, 0], [[2, 0]], 2)
+    ab.hermite_reduce([[2], [3]], 1)
 except InternalError as exc:
     print("InternalError:", exc)
 """
@@ -184,7 +184,7 @@ except InternalError as exc:
 @pytest.mark.parametrize(
     "script,message",
     [
-        (_ABELIAN, "order 1 does not put the element in the lattice"),
+        (_ABELIAN, "gcd row at pivot 0 does not lead with exponent 1"),
         (_COSET, "relator does not stabilize the cosets"),
         (_TENSOR, "direct kernel Z/2 differs from Schreier rewriting Z x Z/2"),
         (_TENSOR_CENTRAL, "the kernel of the boundary is not central in T"),

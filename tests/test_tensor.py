@@ -3,7 +3,7 @@ import pytest
 from oracles import one_orientation_presentation, tensor_relators_exhaustive
 from picolim import finite, tensor
 from picolim.abelian import AbelianInvariants
-from picolim.catalog import catalog_group, catalog_subgroup, groups_of_order_at_most
+from picolim.catalog import catalog_group, groups_of_order_at_most
 from picolim.colimit import NormalTuple
 from picolim.coset import todd_coxeter
 from picolim.errors import BudgetError
@@ -14,7 +14,6 @@ from picolim.tensor import (
     _ordered_partitions,
     _three_block_partitions,
     boundary_image,
-    build_E,
     build_T,
     crossed_module_check,
     kernel_of_boundary,
@@ -91,13 +90,6 @@ def test_relators_equal_the_exhaustive_oracle():
         relators, families = tensor_relators_exhaustive(t)
         assert list(tp.base.relators) == relators, label
         assert tp.families == families, label
-    g = catalog_group("S3")
-    a3 = catalog_subgroup("S3", "A3")
-    tp = build_E(g, a3, a3)
-    t = NormalTuple(g, (g.full_subgroup(), a3, a3))
-    relators, families = tensor_relators_exhaustive(t, [x for x in a3.members if x != 0])
-    assert list(tp.base.relators) == relators
-    assert tp.families == families
 
 
 def test_soundness_returns_exactly_the_unsound_relator():
@@ -212,20 +204,6 @@ def test_reduction_is_cached_per_base_presentation():
     kernel_of_boundary(tp, strategy="felsch")
     assert tp.reduction() is first
     assert len(first[0].generators) < len(tp.base.generators)
-    # build_E's presentation carries its square relators from the start, so
-    # it has its own reduction, and the build_T presentation of the same
-    # tuple keeps its own
-    g = catalog_group("S3")
-    a3 = catalog_subgroup("S3", "A3")
-    t = build_T(NormalTuple(g, (g.full_subgroup(), a3, a3)))
-    t_reduction = t.reduction()
-    e = build_E(g, a3, a3)
-    squares = e.base.relators[-e.families["square"]:]
-    assert e.base.relators == t.base.relators + squares
-    _, image = e.reduction()
-    assert all(len(rel) == 1 and image[rel[0]] is None for rel in squares)
-    assert t.reduction() is t_reduction
-    assert any(t_reduction[1][rel[0]] is not None for rel in squares)
 
 
 def test_relators_reduced_and_unique():
@@ -233,25 +211,11 @@ def test_relators_reduced_and_unique():
     normals = g.normal_subgroups()
     for m in normals:
         for n in normals:
-            for tp in (build_T(NormalTuple(g, (m, n))), build_E(g, m, n)):
-                rels = tp.base.relators
-                assert len(set(rels)) == len(rels)
-                for rel in rels:
-                    assert rel
-                    assert all(x ^ 1 != y for x, y in zip(rel, rel[1:])), rel
-
-
-def test_build_E_square_relators():
-    g = catalog_group("C2")
-    full = g.full_subgroup()
-    tp = build_E(g, full, full)
-    assert tp.families["square"] == 6
-    s3 = catalog_group("S3")
-    a3 = catalog_subgroup("S3", "A3")
-    tp = build_E(s3, a3, a3)
-    # two nontrivial elements of M cap N, all six partitions eligible
-    assert tp.families["square"] == 12
-    assert relator_soundness(tp) == []
+            rels = build_T(NormalTuple(g, (m, n))).base.relators
+            assert len(set(rels)) == len(rels)
+            for rel in rels:
+                assert rel
+                assert all(x ^ 1 != y for x, y in zip(rel, rel[1:])), rel
 
 
 def test_budget_error(monkeypatch):

@@ -5,15 +5,17 @@ import pytest
 from oracles import hopf_recursive, left_normed_commutator, reduce_word
 from picolim import words
 from picolim.errors import BudgetError
-from picolim.presentations import render_word
+from picolim.presentations import render_brackets, render_word
 from picolim.words import (
     LETTER_BUDGET,
     Word,
+    _reduce,
     commutator,
     hopf,
     hopf_element,
     hopf_letter_bound,
 )
+from picolim.wu import letter_names
 
 A, B, C = 0, 1, 2
 
@@ -66,6 +68,25 @@ def test_group_laws_random():
         assert (x * y).inverse() == y.inverse() * x.inverse()
 
 
+def test_product_reduces_at_the_junction_like_the_concatenation():
+    rng = random.Random(47)
+
+    def rand_word():
+        return Word(
+            tuple((rng.randrange(3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6)))
+        )
+
+    for _ in range(300):
+        x, y = rand_word(), rand_word()
+        # the last two pairs cancel completely
+        for left, right in ((x, y), (x, x.inverse()), (x * y, y.inverse() * x.inverse())):
+            assert (left * right).syllables == _reduce(left.syllables + right.syllables)
+    # a cascade through three syllables that ends in a merge
+    u = w([(A, 2), (B, 1), (C, -1), (A, 1)])
+    v = w([(A, -1), (C, 1), (B, -1), (A, 3)])
+    assert (u * v).syllables == ((A, 5),)
+
+
 def test_commutator_conventions():
     x, y = Word.gen(0), Word.gen(1)
     assert commutator(x, y) == x * y * x.inverse() * y.inverse()
@@ -103,7 +124,8 @@ def test_reduce_word_idempotent():
 
 def test_hopf_element_base_case():
     assert hopf_element(1) == commutator(Word.gen(0), Word.gen(1))
-    assert hopf(1)[1] == "[y0,y1]"
+    assert hopf(1)[1] == ((0,), (1,))
+    assert render_brackets(hopf(1)[1], letter_names(2)) == "[y0,y1]"
 
 
 def test_hopf_element_recursion():
@@ -111,7 +133,7 @@ def test_hopf_element_recursion():
     y0, y1, y2 = Word.gen(0), Word.gen(1), Word.gen(2)
     h2 = commutator(commutator(y0, y1), commutator(y0, y1 * y2))
     assert hopf_element(2) == h2
-    assert hopf(2)[1] == "[[y0,y1],[y0,y1y2]]"
+    assert render_brackets(hopf(2)[1], letter_names(3)) == "[[y0,y1],[y0,y1y2]]"
     # h(3) = [h(2), [[y0,y1],[y0,y1*y2*y3]]]
     right = commutator(commutator(y0, y1), commutator(y0, y1 * y2 * Word.gen(3)))
     assert hopf_element(3) == commutator(h2, right)

@@ -14,7 +14,7 @@ from oracles import (
     wu_closures_by_closure,
     wu_numerator_by_closure,
 )
-from picolim.abelian import AbelianInvariants
+from picolim.abelian import AbelianInvariants, _order_mod
 from picolim.nilpotent import IDENTITY, PcGroup, PcSubgroup, free_nilpotent, normal_closure_pc
 from picolim.presentations import parse_word
 from picolim.words import Word, hopf_element
@@ -80,6 +80,18 @@ def test_rank2_free_of_rank_one(c):
     assert not out["in_denominator"]
     assert out["order_in_quotient"] is None
     assert "infinite order" in out["note"]
+
+
+@pytest.mark.parametrize("n,c,order", [(3, 4, 2), (2, 6, None)])
+def test_order_on_pc_elements_equals_order_on_igs_coordinates(n, c, order):
+    # one _order_mod, run once on the pc group against the denominator's
+    # rows and once, through order_in_quotient, on the lattice of its igs
+    # coordinates in the numerator
+    cfg = WuConfiguration(n, c)
+    G = cfg.group()
+    u = G.collect(hopf_element(n - 1))
+    assert _order_mod(G, cfg.denominator().rows, u) == order
+    assert membership_check(hopf_element(n - 1), cfg)["order_in_quotient"] == order
 
 
 def test_membership_of_identity():
