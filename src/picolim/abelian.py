@@ -1,20 +1,20 @@
 """Integer matrix normal forms and abelian invariants, on the one echelon.
 
-Everything here is exact: plain Python ints, no floats.  At the interface
-row vectors are dense lists of ints and matrices are lists of rows of equal
-length.  Inside, a row is a sparse element of Z^n (_Lattice), and a lattice
-is held as an echelon of such rows: _sift, _insert, _canonical and
-_order_mod run over any group arithmetic, and nilpotent runs the same
-routines for the igs of subgroups of free nilpotent groups.  Sparse rows
-make badly presented Z-modules such as Schreier relation matrices
-tractable (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
-`smith_normal_form` splits off the unit pivots of the Hermite form and runs
-a dense elimination, with pivots of minimal absolute value, only on the
-block that remains.
+Everything here is exact: plain Python ints, no floats.  A row is a sparse
+element of Z^n (_Lattice): a tuple of (column, nonzero value) pairs in
+increasing column order, the one format from every producer of relation
+rows to every entry point here.  A lattice is held as an echelon of such
+rows: _sift, _insert, _canonical and _order_mod run over any group
+arithmetic, and nilpotent runs the same routines for the igs of subgroups
+of free nilpotent groups.  Sparse rows make badly presented Z-modules such
+as Schreier relation matrices tractable (Havas, Holt and Rees, Linear
+Algebra Appl. 192, 1993).  `smith_normal_form` runs the same elimination:
+it alternates the Hermite forms of the rows and of their transpose until
+the matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 """
 
-from itertools import compress
-from math import gcd, prod
+from itertools import combinations
+from math import gcd, lcm, prod
 
 from .errors import InternalError
 
@@ -70,35 +70,18 @@ class AbelianInvariants:
         return f"AbelianInvariants(free_rank={self.free_rank}, torsion={self.torsion})"
 
 
-def hermite_reduce(rows, ncols):
-    """Row-style echelon basis of the lattice spanned by `rows`.
-
-    Returns rows sorted by pivot column, pivots positive, entries above each
-    pivot reduced into [0, pivot).  This is the canonical (row) Hermite form
-    of the lattice, which _canonical makes of the echelon.
-    """
-    out = []
-    for _, row in sorted(_canonical(_Lattice, _echelon(rows, ncols)).items()):
-        dense = [0] * ncols
-        for j, v in row:
-            dense[j] = v
-        out.append(dense)
-    return out
+def hermite_reduce(rows):
+    """Canonical row Hermite form of the lattice spanned by `rows`: rows by
+    pivot column, pivots positive, entries above each pivot in [0, pivot)."""
+    return [row for _, row in sorted(_canonical(_Lattice, _echelon(rows)).items())]
 
 
-def _echelon(rows, ncols):
-    """Pivot rows of the lattice spanned by dense rows of length ncols."""
+def _echelon(rows):
+    """Pivot rows of the lattice spanned by `rows`."""
     basis = {}
     for row in rows:
-        _insert(_Lattice, basis, _sparse(row, ncols))
+        _insert(_Lattice, basis, row)
     return basis
-
-
-def _sparse(row, ncols):
-    """The _Lattice element of a dense row of length ncols."""
-    if len(row) != ncols:
-        raise ValueError("ragged matrix")
-    return tuple(compress(enumerate(row), row))
 
 
 class _Lattice:
@@ -135,18 +118,10 @@ class _Lattice:
 
 
 def _bezout(a, b, g):
-    """x, y with x*a + y*b == g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == g:
-        return old_s, old_t
-    return -old_s, -old_t
+    """x, y with x*a + y*b == g, for nonzero a and b with gcd g."""
+    a, b = a // g, b // g
+    x = pow(a, -1, abs(b))
+    return x, (1 - x * a) // b
 
 
 # -- the echelon -----------------------------------------------------------
@@ -246,91 +221,49 @@ def _order_mod(A, rows, z):
 def smith_normal_form(rows, ncols):
     """Nonzero diagonal of the Smith form (d1 | d2 | ...), all positive.
 
-    Rows are reduced to the canonical Hermite form first.  There a column
-    whose pivot is 1 is zero in every other row, so a column operation
-    clears the rest of the pivot's row and splits off a divisor 1.  Each
-    such row is dropped with its column, and the dense elimination below
-    runs only on the block that remains.
+    Hermite forms of the rows and of their transpose alternate until each
+    row has one entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).  Each
+    form has r rows, r the rank, leading at increasing columns with
+    positive pivots.  The first pivot p is alone in its column, the first
+    nonzero one, so the transpose's first row is p alone at column 0, and
+    its form leads with g, the gcd of p's row.  If g < p, the first pivot
+    fell.  If g == p, the other rows sift by p at column 0 alone, which
+    leaves p alone in its row and column, where no later form touches it,
+    and the other rows alternate as a matrix of rank r - 1.  So the loop
+    ends, by induction on r.
+
+    Z^ncols / L is then Z^(ncols - r) plus the Z/d of the r entries.  As
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), prime by prime, replacing each
+    pair (d_i, d_j), i < j, of entries above 1 by (gcd, lcm) keeps the
+    group; after step i, d_i divides every later d_j, as the later steps
+    take gcds and lcms of its multiples.  With the 1s in front, that is
+    the Smith diagonal.  A column outside 0..ncols-1 raises ValueError.
     """
-    units = set()
-    block = []
-    for row in hermite_reduce(rows, ncols):
-        for col, v in enumerate(row):
-            if v:
-                break
-        if v == 1:
-            units.add(col)
-        else:
-            block.append(row)
-    if units and block:
-        keep = [j for j in range(ncols) if j not in units]
-        block = [[row[j] for j in keep] for row in block]
-    return [1] * len(units) + _diagonalize(block, ncols - len(units))
-
-
-def _diagonalize(m, ncols):
-    """Smith divisors of a dense matrix, reduced in place."""
-    if not m:
-        return []
-    nrows = len(m)
-    divisors = []
-    top = 0
-    while top < nrows and top < ncols:
-        # minimal absolute value nonzero entry in the remaining block
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[bj], row[top] = row[top], row[bj]
-        piv = m[top][top]
-        dirty = False
-        for i in range(top + 1, nrows):
-            if m[i][top]:
-                q = m[i][top] // piv
-                m[i] = [v - q * p for v, p in zip(m[i], m[top])]
-                if m[i][top]:
-                    dirty = True
-        for j in range(top + 1, ncols):
-            if m[top][j]:
-                q = m[top][j] // piv
-                for row in m:
-                    row[j] -= q * row[top]
-                if m[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry, else absorb and retry
-        absorbed = False
-        for i in range(top + 1, nrows):
-            if any(v % piv for v in m[i][top + 1 :]):
-                m[top] = [a + b for a, b in zip(m[top], m[i])]
-                absorbed = True
-                break
-        if absorbed:
-            continue
-        divisors.append(abs(piv))
-        top += 1
-    # Each pivot appended divides every entry of the block left after it,
-    # and the later row and column operations only take integer
-    # combinations of those entries, so every later pivot is a multiple of
-    # it: the divisors come out as a divisibility chain.
-    for a, b in zip(divisors, divisors[1:]):
+    if any(row and not 0 <= row[0][0] <= row[-1][0] < ncols for row in rows):
+        raise ValueError(f"a row has a column outside 0..{ncols - 1}")
+    rows = hermite_reduce(rows)
+    while any(len(row) > 1 for row in rows):
+        rows = hermite_reduce(_transpose(rows))
+    d = [row[0][1] for row in rows if row[0][1] > 1]
+    for i, j in combinations(range(len(d)), 2):
+        d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    d[:0] = [1] * (len(rows) - len(d))
+    for a, b in zip(d, d[1:]):
         if b % a:
             raise InternalError("Smith divisors do not form a divisibility chain")
-    return divisors
+    return d
 
 
-def order_in_quotient(vec, rows, ncols):
-    """Order of vec + L in Z^ncols / L, where L is spanned by `rows`.
+def _transpose(rows):
+    """The columns of `rows` as rows, in column order."""
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, v in row:
+            columns.setdefault(j, []).append((i, v))
+    return [tuple(columns[j]) for j in sorted(columns)]
 
-    Returns a positive int, or None for infinite order, from _order_mod
-    on the echelon of L; every subgroup of Z^ncols is normal.
-    """
-    return _order_mod(_Lattice, _echelon(rows, ncols), _sparse(vec, ncols))
+
+def order_in_quotient(vec, rows):
+    """Order of vec + L in Z^n / L, L spanned by `rows`, or None if infinite:
+    _order_mod on the echelon of L, as every subgroup of Z^n is normal."""
+    return _order_mod(_Lattice, _echelon(rows), vec)

@@ -68,6 +68,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_tuple(args):
     """The group named by --group and the subgroups named by --subgroups."""
     text = args.group
@@ -301,7 +309,7 @@ def _build_parser():
     def common(p, limit=True, group=True, group_required=True):
         p.add_argument("--json", action="store_true", help="versioned JSON output")
         if limit:
-            p.add_argument("--limit", type=int, default=COSET_LIMIT,
+            p.add_argument("--limit", type=positive_int, default=COSET_LIMIT,
                            help="coset enumeration limit")
         if group:
             p.add_argument("--group", required=group_required, default=None,
@@ -371,7 +379,7 @@ def _build_parser():
 
     p = sub.add_parser("akcheck", help="coset enumeration of balanced trivial-group presentations")
     common(p, group=False)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
     p.add_argument("--alt", action="store_true",
                    help="use the power presentation x1^2 x2^-3, x1^3 x2^-4")
     p.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")

@@ -313,8 +313,9 @@ def schreier_rewrite_matrix(table, relators):
     The subgroup whose cosets the table enumerates is generated by the
     Schreier generators u(c, g) = rep(c) g rep(c.g)^-1; those along the
     BFS tree are trivial and get no column.  Returns (rows, ncols) where
-    each row is the exponent-sum vector of one relator rewritten at one
-    coset; the cokernel is the subgroup's abelianization.
+    each nonzero row is the exponent-sum vector of one relator rewritten at
+    one coset, as sparse (column, value) pairs; the cokernel is the
+    subgroup's abelianization.
 
     Relators are column tuples.  Every relator must act trivially on the
     cosets (true for any table of the same presentation, or any action
@@ -336,17 +337,18 @@ def schreier_rewrite_matrix(table, relators):
     rows = []
     for rel in relators:
         for start in range(table.n_cosets()):
-            vec = [0] * len(col_index)
+            vec = {}
             c = start
             for x in rel:
                 d = table.rows[c][x]
                 # an inverse letter runs the generator's edge from d back to c
                 k = col_index.get((d if x & 1 else c, x >> 1))
                 if k is not None:
-                    vec[k] += -1 if x & 1 else 1
+                    vec[k] = vec.get(k, 0) + (-1 if x & 1 else 1)
                 c = d
             if c != start:
                 raise InternalError("relator does not stabilize the cosets")
-            if any(vec):
-                rows.append(vec)
+            row = tuple(sorted((k, v) for k, v in vec.items() if v))
+            if row:
+                rows.append(row)
     return rows, len(col_index)

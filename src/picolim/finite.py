@@ -35,6 +35,7 @@ its member set.
 """
 
 import random
+from itertools import compress
 
 from .abelian import AbelianInvariants
 from .coset import COSET_LIMIT, schreier_representatives, todd_coxeter
@@ -430,8 +431,9 @@ def abelian_invariants_of_quotient(a, b):
     finite group.  The columns are the images of the generators of A; the
     rows are the Cayley-graph relations vec(q) + e_i - vec(q * gen_i) over
     the Schreier tree of the cosets under the generators.  A generator that
-    lies in B only adds the unit row e_i.  The result is kept on A, keyed by
-    the members of B; refusals are not kept.
+    lies in B only adds the unit row e_i.  Rows are summed densely over the
+    few generators of A and handed on sparse.  The result is kept on A,
+    keyed by the members of B; refusals are not kept.
     """
     if not a.contains_subgroup(b):
         raise ValueError("B is not contained in A")
@@ -468,7 +470,7 @@ def abelian_invariants_of_quotient(a, b):
             row = [u - v for u, v in zip(vec[q], vec[s])]
             row[pos] += 1
             if any(row):
-                rows.append(row)
+                rows.append(tuple(compress(enumerate(row), row)))
     inv = AbelianInvariants.from_relation_matrix(rows, m)
     if inv.order() != k:
         raise InternalError("quotient order mismatch after Smith reduction")

@@ -361,11 +361,11 @@ class PcSubgroup:
         return self._normal
 
     def coords_of(self, u):
-        """Exponents of u along the igs rows (error if not a member)."""
+        """(row index, exponent) pairs of u along the igs rows; error if not a member."""
         taken = {}
         if _sift(self.parent, self.rows, u, taken):
             raise ValueError("element does not sift through the igs")
-        return [taken.get(d, 0) for d in self.pivots]
+        return tuple([(i, taken[d]) for i, d in enumerate(self.pivots) if d in taken])
 
     def intersect(self, other):
         return intersect_pc(self, other)

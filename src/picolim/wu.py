@@ -328,7 +328,7 @@ def membership_check(w, cfg):
     elif in_num:
         vec = num.coords_of(u)
         rows = [num.coords_of(r) for r in den.igs]
-        order = order_in_quotient(vec, rows, len(num.igs))
+        order = order_in_quotient(vec, rows)
         if order is None:
             note = f"infinite order at class {cfg.class_bound}"
     else:

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import gcd
 
 from picolim import catalog
-from picolim.abelian import AbelianInvariants, _bezout, _diagonalize
+from picolim.abelian import AbelianInvariants, _bezout
 from picolim.colimit import NormalTuple, symmetric_commutator
 from picolim.errors import InternalError
 from picolim.finite import FinSubgroup, _coset_labels, abelian_invariants_of_quotient
@@ -73,7 +73,84 @@ def hermite_reduce_dense(rows, ncols):
 
 def smith_normal_form_dense(rows, ncols):
     """Smith divisors by dense elimination of the whole Hermite form."""
-    return _diagonalize(hermite_reduce_dense(rows, ncols), ncols)
+    return diagonalize(hermite_reduce_dense(rows, ncols), ncols)
+
+
+def diagonalize(m, ncols):
+    """Smith divisors of a dense matrix, reduced in place, by pivots of
+    minimal absolute value."""
+    if not m:
+        return []
+    nrows = len(m)
+    divisors = []
+    top = 0
+    while top < nrows and top < ncols:
+        # minimal absolute value nonzero entry in the remaining block
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                v = m[i][j]
+                if v and (best is None or abs(v) < abs(best[2])):
+                    best = (i, j, v)
+        if best is None:
+            break
+        bi, bj, _ = best
+        m[top], m[bi] = m[bi], m[top]
+        for row in m:
+            row[bj], row[top] = row[top], row[bj]
+        piv = m[top][top]
+        dirty = False
+        for i in range(top + 1, nrows):
+            if m[i][top]:
+                q = m[i][top] // piv
+                m[i] = [v - q * p for v, p in zip(m[i], m[top])]
+                if m[i][top]:
+                    dirty = True
+        for j in range(top + 1, ncols):
+            if m[top][j]:
+                q = m[top][j] // piv
+                for row in m:
+                    row[j] -= q * row[top]
+                if m[top][j]:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide every remaining entry, else absorb and retry
+        absorbed = False
+        for i in range(top + 1, nrows):
+            if any(v % piv for v in m[i][top + 1 :]):
+                m[top] = [a + b for a, b in zip(m[top], m[i])]
+                absorbed = True
+                break
+        if absorbed:
+            continue
+        divisors.append(abs(piv))
+        top += 1
+    # Each pivot appended divides every entry of the block left after it,
+    # and the later row and column operations only take integer
+    # combinations of those entries, so every later pivot is a multiple of
+    # it: the divisors come out as a divisibility chain.
+    for a, b in zip(divisors, divisors[1:]):
+        if b % a:
+            raise InternalError("Smith divisors do not form a divisibility chain")
+    return divisors
+
+
+def sparse(rows):
+    """The sparse (column, nonzero value) rows of dense rows, the format of
+    every picolim.abelian entry point."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
+def dense(rows, ncols):
+    """The dense rows of length ncols of sparse rows."""
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for j, v in row:
+            vec[j] = v
+        out.append(vec)
+    return out
 
 
 def in_lattice(vec, basis):
@@ -879,7 +956,7 @@ def abelian_invariants_of_quotient_greedy(a, b):
                 if any(row):
                     rows.append(row)
     assert len(vec) == k, "generators fail to span the quotient"
-    return AbelianInvariants.from_relation_matrix(rows, m)
+    return AbelianInvariants.from_relation_matrix(sparse(rows), m)
 
 
 def coset_labels_by_min(a, b):

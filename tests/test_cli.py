@@ -273,6 +273,24 @@ def test_akcheck_needs_n_or_alt(capsys):
     assert "--n" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["akcheck", "--n", "2", "--limit", "-5"], "--limit", -5),
+        (["akcheck", "--n", "2", "--limit", "0"], "--limit", 0),
+        (["kernel", "--group", "catalog:V4", "--subgroups", "full,full", "--limit", "0"],
+         "--limit", 0),
+        (["akcheck", "--n", "-3"], "--n", -3),
+        (["akcheck", "--n", "0"], "--n", 0),
+    ],
+)
+def test_counts_below_one_rejected(capsys, argv, flag, value):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument {flag}: must be at least 1, got {value}\n"
+
+
 def test_budget_exit_code(capsys):
     # the coset limit runs out realising an inline group, enumerating the
     # tensor group of a kernel, and in akcheck, with one message

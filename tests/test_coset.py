@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from oracles import catalog_presentation, coset_table_csv, follow
+from oracles import catalog_presentation, coset_table_csv, follow, sparse
 from picolim.abelian import AbelianInvariants
 from picolim import coset
 from picolim.catalog import catalog_group, catalog_names, declared_order
@@ -203,6 +203,16 @@ def test_rewrite_known_subgroups(sub, expected):
     assert follow(t, 0, p.encode(parse_word(sub, p.generators))) == 0
     rows, ncols = schreier_rewrite_matrix(t, p.relators)
     assert AbelianInvariants.from_relation_matrix(rows, ncols) == expected
+
+
+def test_rewrite_rows_are_sparse():
+    # r^3, s^2 and s*r*s^-1*r rewritten at the two cosets of <r>, over the
+    # Schreier generators r at H, r at Hs and s at Hs
+    p = parse_presentation(S3)
+    t = coset_table_from_action(p.generators, S3_COSET_ACTIONS["r"])
+    rows, ncols = schreier_rewrite_matrix(t, p.relators)
+    assert ncols == 3
+    assert rows == sparse([[3, 0, 0], [0, 3, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 0]])
 
 
 def test_rewrite_trivial_subgroup():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import picolim.tensor
-from oracles import hermite_reduce_dense, smith_normal_form_dense
+from oracles import dense, hermite_reduce_dense, smith_normal_form_dense, sparse
 from picolim.abelian import hermite_reduce, smith_normal_form
 from picolim.catalog import catalog_group, groups_of_order_at_most
 from picolim.colimit import NormalTuple
@@ -33,15 +33,17 @@ def _random_matrix(rng):
 
 def _assert_unit_pivot_columns_clear(hnf):
     for i, row in enumerate(hnf):
-        col = next(j for j, v in enumerate(row) if v)
-        if row[col] == 1:
-            assert all(other[col] == 0 for k, other in enumerate(hnf) if k != i)
+        col, v = row[0]
+        if v == 1:
+            assert all(c != col for k, other in enumerate(hnf) if k != i for c, _ in other)
 
 
 def _assert_routes_agree(rows, ncols):
-    hnf = hermite_reduce(rows, ncols)
-    assert hnf == hermite_reduce_dense(rows, ncols)
-    assert smith_normal_form(rows, ncols) == smith_normal_form_dense(rows, ncols)
+    """Sparse routes on the sparse form of the dense rows, against the
+    dense oracles on the rows themselves."""
+    hnf = hermite_reduce(sparse(rows))
+    assert hnf == sparse(hermite_reduce_dense(rows, ncols))
+    assert smith_normal_form(sparse(rows), ncols) == smith_normal_form_dense(rows, ncols)
     _assert_unit_pivot_columns_clear(hnf)
 
 
@@ -104,9 +106,12 @@ def test_schreier_matrices_match_dense(monkeypatch):
     built = _schreier_matrices(monkeypatch, tuples)
     assert len(built) == len(tuples)
     for rows, ncols in built:
-        _assert_routes_agree(rows, ncols)
+        assert sparse(dense(rows, ncols)) == rows  # nonzero pairs, in column order
+        _assert_routes_agree(dense(rows, ncols), ncols)
 
 
 def test_raw_schreier_matrices_match_dense():
     for nt in _kernel_tuples():
-        _assert_routes_agree(*_raw_schreier_matrix(build_T(nt)))
+        rows, ncols = _raw_schreier_matrix(build_T(nt))
+        assert sparse(dense(rows, ncols)) == rows
+        _assert_routes_agree(dense(rows, ncols), ncols)

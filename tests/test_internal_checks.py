@@ -23,7 +23,7 @@ import picolim.abelian as ab
 # a Bezout pair that ignores b: the gcd row of 2 and 3 still leads with 2
 ab._bezout = lambda a, b, g: (1, 0)
 try:
-    ab.hermite_reduce([[2], [3]], 1)
+    ab.hermite_reduce([((0, 2),), ((0, 3),)])
 except InternalError as exc:
     print("InternalError:", exc)
 """
@@ -48,7 +48,7 @@ rewrite = tensor.schreier_rewrite_matrix
 
 def one_free_column_too_many(table, relators):
     rows, ncols = rewrite(table, relators)
-    return [row + [0] for row in rows], ncols + 1
+    return rows, ncols + 1
 
 tensor.schreier_rewrite_matrix = one_free_column_too_many
 c2 = catalog_group("C2")

@@ -10,6 +10,7 @@ from oracles import (
     graded_to_monomials,
     project_element,
     project_subgroup,
+    sparse,
     subgroup_to_csv,
 )
 from picolim.abelian import AbelianInvariants
@@ -232,10 +233,12 @@ def test_coords_roundtrip(g22):
     h = normal_closure_pc(g22, [g22.gen(0)])
     u = g22.mul(g22.pow(g22.gen(0), 3), g22.pow(g22.basis_element(2), -4))
     coords = h.coords_of(u)
+    assert coords == sparse([[3, -4]])[0]
     rebuilt = ()
-    for row, c in zip(h.igs, coords):
-        rebuilt = g22.mul(rebuilt, g22.pow(row, c))
+    for i, c in coords:
+        rebuilt = g22.mul(rebuilt, g22.pow(h.igs[i], c))
     assert rebuilt == u
+    assert h.coords_of(g22.basis_element(2)) == sparse([[0, 1]])[0]
     with pytest.raises(ValueError):
         h.coords_of(g22.gen(1))
 
