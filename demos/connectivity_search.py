@@ -5,7 +5,7 @@ Pairs are always connected; the smallest violations appear among triples
 in the order-4 elementary abelian group.
 """
 
-from picolim.catalog import catalog_group, subgroup_of
+from picolim.catalog import catalog_group, catalog_subgroup
 from picolim.colimit import NormalTuple, pi_n_colimit, search_disconnected_triple
 from picolim.errors import ConnectivityError
 
@@ -15,7 +15,7 @@ for name, orders, (I, J) in findings[:5]:
     print(f"  {name}: subgroup orders {orders}, witness I={I} J={J}")
 
 g = catalog_group("C2xC2")
-subs = tuple(subgroup_of(g, s) for s in ("{a}", "{b}", "{a*b}"))
+subs = tuple(catalog_subgroup("C2xC2", s) for s in ("{a}", "{b}", "{a*b}"))
 try:
     pi_n_colimit(NormalTuple(g, subs))
 except ConnectivityError as exc:

@@ -174,13 +174,15 @@ def catalog_subgroup(group_name, spec):
     inline brace list {w1, w2} (generated subgroup), or ncl{w1, w2}
     (normal closure).
     """
-    g = catalog_group(group_name)
-    named = _registry[_resolve(group_name)][2]
-    return subgroup_of(g, named.get(spec, spec))
+    key = _resolve(group_name)
+    _, text, named = _registry[key]
+    names = parse_presentation(text).generators
+    return subgroup_of(catalog_group(key), names, named.get(spec, spec))
 
 
-def subgroup_of(g, spec):
-    """Resolve a generic subgroup spec (no per-group names) in any group."""
+def subgroup_of(g, names, spec):
+    """Resolve a generic subgroup spec (no per-group names) in any group
+    whose generators are named `names`."""
     spec = spec.strip()
     if spec == "trivial":
         return g.trivial_subgroup()
@@ -195,6 +197,6 @@ def subgroup_of(g, spec):
         closure = g.normal_closure
         spec = spec[3:].strip()
     if spec.startswith("{") and spec.endswith("}"):
-        words = parse_words(spec[1:-1], g.generators)
+        words = parse_words(spec[1:-1], names)
         return closure([g.word_image(w) for w in words])
     raise KeyError(f"unknown subgroup spec {spec!r}")

@@ -95,8 +95,9 @@ def _load_tuple(args):
                 f"group {text!r} is not catalog:NAME, an inline 'gens: ... | rels: ...' "
                 "presentation, or a readable file"
             )
-        group = FiniteGroup.from_presentation(parse_presentation(text), limit=args.limit)
-        subgroup = partial(subgroup_of, group)
+        presentation = parse_presentation(text)
+        group = FiniteGroup.from_presentation(presentation, limit=args.limit)
+        subgroup = partial(subgroup_of, group, presentation.generators)
     subs = []
     for spec in args.subgroups.split(","):
         spec = spec.strip()
@@ -319,7 +320,7 @@ def _build_parser():
 
     p = sub.add_parser("connectivity", help="check the gluing condition for a tuple")
     common(p, group_required=False)
-    p.add_argument("--search-order", type=int, default=None,
+    p.add_argument("--search-order", type=positive_int, default=None,
                    help="instead: scan catalog normal triples up to this order")
     p.add_argument("--all", action="store_true",
                    help="with --search-order, list every violation")
@@ -327,7 +328,7 @@ def _build_parser():
 
     p = sub.add_parser("pi", help="n-th homotopy group of the union")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.set_defaults(handler=_cmd_pi)
 
     p = sub.add_parser("pi2", help="second homotopy group, three subgroups")

@@ -12,6 +12,8 @@ The table is a flat list of ints with two columns per generator (column
 2*i is generator i, column 2*i+1 its inverse; x ^ 1 flips orientation).
 Cosets are merged through a union-find array.  Only the trivial subgroup is
 enumerated, so a table's cosets are the elements of the presented group.
+A finished table is one permutation of the cosets per column, the format
+of every transitive action in the package.
 The limit bounds definitions: defining a coset beyond it raises
 BudgetError("coset enumeration reached its limit of N definitions with L
 live rows"), L being the cosets not merged away.  That is the one refusal
@@ -32,17 +34,16 @@ COSET_LIMIT = 1_000_000  # default limit on definitions, also of --limit
 class CosetTable:
     """A complete coset table.
 
-    rows[i][x] is the target coset of coset i under column x; `defined`
+    perms[x][c] is the target coset of coset c under column x; `defined`
     counts the cosets ever defined on the way to it.
     """
 
-    def __init__(self, generators, rows, defined):
-        self.generators = tuple(generators)
-        self.rows = rows
+    def __init__(self, perms, defined):
+        self.perms = perms
         self.defined = defined
 
     def n_cosets(self):
-        return len(self.rows)
+        return len(self.perms[0])
 
 
 class _Enumeration:
@@ -226,22 +227,19 @@ class _Enumeration:
                 self.scan(a, w, fill=False)
                 a = self.rep(a)
 
-    def live_rows(self):
+    def columns(self):
+        """One permutation per column of the live cosets, renumbered in order."""
         tab = self.tab
         nc = self.nc
         live = [g for g in range(len(self.p)) if self.p[g] == g]
         renumber = {g: i for i, g in enumerate(live)}
-        rows = []
-        for g in live:
-            base = g * nc
-            row = []
-            for x in range(nc):
-                t = tab[base + x]
-                if t < 0:
-                    raise InternalError("incomplete table after enumeration")
-                row.append(renumber[self.rep(t)])
-            rows.append(row)
-        return rows
+        perms = []
+        for x in range(nc):
+            targets = [tab[g * nc + x] for g in live]
+            if min(targets) < 0:
+                raise InternalError("incomplete table after enumeration")
+            perms.append([renumber[self.rep(t)] for t in targets])
+        return perms
 
 
 def _deduction_relators(relators, ncols):
@@ -277,29 +275,30 @@ def todd_coxeter(presentation, *, limit=COSET_LIMIT, strategy="hlt"):
         enum.run_hlt()
     else:
         enum.run_felsch(_deduction_relators(relators, nc))
-    return CosetTable(presentation.generators, enum.live_rows(), enum.defined)
+    return CosetTable(enum.columns(), enum.defined)
 
 
-def coset_table_from_action(generators, rows):
-    """Wrap an externally built complete table (e.g. a group action)."""
-    return CosetTable(generators, [list(r) for r in rows], len(rows))
+def coset_table_from_action(perms):
+    """Wrap a complete action, one permutation per column, as a table."""
+    return CosetTable(perms, len(perms[0]))
 
 
-def schreier_representatives(rows):
+def schreier_representatives(perms):
     """Breadth-first spanning tree of a complete action, rooted at point 0.
 
-    rows[a][x] is the image of point a under column x.  Points leave the
+    perms[x][a] is the image of point a under column x.  Points leave the
     queue first in, first out and columns are tried in order.  Returns the
-    tree edges (b, a, x) with b = rows[a][x], in the order the walk reaches
-    b, so every parent comes before its children.  The action is transitive
-    iff there are len(rows) - 1 edges; each caller checks that.
+    tree edges (b, a, x) with b = perms[x][a], in the order the walk
+    reaches b, so every parent comes before its children.  The action is
+    transitive iff there is one edge fewer than points; callers check that.
     """
-    seen = [False] * len(rows)
+    seen = [False] * (len(perms[0]) if perms else 1)
     seen[0] = True
     order = [0]
     tree = []
     for a in order:
-        for x, b in enumerate(rows[a]):
+        for x, col in enumerate(perms):
+            b = col[a]
             if not seen[b]:
                 seen[b] = True
                 order.append(b)
@@ -321,14 +320,15 @@ def schreier_rewrite_matrix(table, relators):
     cosets (true for any table of the same presentation, or any action
     factoring through the group).
     """
-    edges = schreier_representatives(table.rows)
+    perms = table.perms
+    edges = schreier_representatives(perms)
     if len(edges) != table.n_cosets() - 1:
         raise InternalError("coset table is not connected")
     tree = set()
     for b, a, x in edges:
         tree.add((a, x))
         tree.add((b, x ^ 1))
-    ngens = len(table.generators)
+    ngens = len(perms) // 2
     col_index = {}
     for a in range(table.n_cosets()):
         for i in range(ngens):
@@ -340,7 +340,7 @@ def schreier_rewrite_matrix(table, relators):
             vec = {}
             c = start
             for x in rel:
-                d = table.rows[c][x]
+                d = perms[x][c]
                 # an inverse letter runs the generator's edge from d back to c
                 k = col_index.get((d if x & 1 else c, x >> 1))
                 if k is not None:

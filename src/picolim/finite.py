@@ -1,10 +1,10 @@
 """Explicitly enumerated finite groups and their subgroup calculus.
 
 A FiniteGroup carries elements 0..n-1 with identity 0 and one permutation
-per table column.  Groups are realized from a completed coset table over
-the trivial subgroup, so element i is the coset reached from the identity
-by the i-th Schreier representative, and generator i is perms[2i][0], the
-coset that its column 2i sends the identity to.
+per table column: its regular action, as a coset table over the trivial
+subgroup holds it, so a group realized from one takes its permutations as
+they are.  Generator i is perms[2i][0], the coset that its column 2i sends
+the identity to; names of generators belong to presentations only.
 
 The multiplication table is composed along the Schreier tree rather than
 traced word by word: if b = a*x for a tree edge labelled by column x, then
@@ -18,9 +18,10 @@ the generators, so they cost O(|H| log |H|) products rather than |H|^2.
 Normality, normal closures and commutator subgroups conjugate generators
 only.  Normal subgroups are the joins of the normal closures of conjugacy
 classes (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005); the whole subgroup lattice is built only on request.  Abelian
-invariants of a quotient A/B go through the Smith normal form of the
-Cayley-graph relation matrix of A/B on the generators of A.
+2005), and the whole lattice, built only on request, is the joins of the
+cyclic subgroups.  Abelian invariants of a quotient A/B go through the
+Smith normal form of the Cayley-graph relation matrix of A/B on the
+generators of A.
 
 The colimit formulas meet the same few subgroups over and over, so a
 FiniteGroup keeps one table from member set to FinSubgroup.  Every
@@ -46,19 +47,17 @@ _MUL_TABLE_CAP = 1500
 
 
 class FiniteGroup:
-    def __init__(self, perms, generators, name=None):
-        """perms: one permutation of 0..n-1 per table column (g0, g0^-1, ...);
-        generators: their names, kept only to parse subgroup specs."""
+    def __init__(self, perms, name=None):
+        """perms: one permutation of 0..n-1 per table column (g0, g0^-1, ...)."""
         self.n = len(perms[0]) if perms else 1
         if self.n > ORDER_CAP:
             raise BudgetError(f"group order {self.n} exceeds cap {ORDER_CAP}")
-        self.perms = [tuple(p) for p in perms]
-        self.generators = tuple(generators)
+        self.perms = perms
         self._gens = tuple(p[0] for p in self.perms[::2])
         self.name = name
         # Schreier representatives as column tuples along the BFS tree,
         # whose edges (b, a, x) with b = a*x come parents first
-        tree = schreier_representatives(list(zip(*self.perms)) or [()])
+        tree = schreier_representatives(self.perms)
         if len(tree) != self.n - 1:
             raise ValueError("generator permutations do not act transitively")
         self._rep_cols = [()] * self.n
@@ -80,9 +79,7 @@ class FiniteGroup:
 
     @classmethod
     def from_coset_table(cls, table, name=None):
-        ncols = 2 * len(table.generators)
-        perms = [[row[x] for row in table.rows] for x in range(ncols)]
-        return cls(perms, table.generators, name=name)
+        return cls(table.perms, name=name)
 
     @classmethod
     def from_presentation(cls, presentation, limit=COSET_LIMIT, name=None):
@@ -189,34 +186,19 @@ class FiniteGroup:
         return self._subgroup_on(members)
 
     def all_subgroups(self):
-        """Every subgroup, as FinSubgroups sorted by (order, element tuple)."""
+        """Every subgroup, sorted by (order, element tuple): the joins of cyclic ones."""
         if self._subgroups is None:
-            found = {frozenset([0])}
-            frontier = [frozenset([0])]
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for g in range(1, self.n):
-                        if g in h:
-                            continue
-                        grown = frozenset(_closure(self, set(h) | {g})[0])
-                        if grown not in found:
-                            found.add(grown)
-                            nxt.append(grown)
-                frontier = nxt
-            self._subgroups = sorted(
-                map(self._subgroup_on, found),
-                key=lambda s: (s.order(), s.members),
-            )
+            cyclic = {}
+            for g in range(1, self.n):
+                members, gens = _closure(self, (g,))
+                cyclic.setdefault(frozenset(members), gens)
+            self._subgroups = self._joins(cyclic)
         return self._subgroups
 
     def normal_subgroups(self):
         """Every normal subgroup, sorted by (order, element tuple).
 
-        Each is a join of normal closures of conjugacy classes, so the
-        joins of those closures, grown from the trivial subgroup until
-        nothing new appears, are all of them.
-        """
+        Each is a join of normal closures of conjugacy classes."""
         if self._normals is None:
             conjugators = self._gens
             closures = {}
@@ -234,25 +216,28 @@ class FiniteGroup:
                             orbit.append(c)
                 members, gens = _closure(self, orbit)
                 closures.setdefault(frozenset(members), gens)
-            found = {frozenset([0]): []}
-            frontier = [frozenset([0])]
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for c, c_gens in closures.items():
-                        if c <= h:
-                            continue
-                        members, gens = _closure(self, c_gens, h, found[h])
-                        grown = frozenset(members)
-                        if grown not in found:
-                            found[grown] = gens
-                            nxt.append(grown)
-                frontier = nxt
-            self._normals = sorted(
-                map(self._subgroup_on, found),
-                key=lambda s: (s.order(), s.members),
-            )
+            self._normals = self._joins(closures)
         return list(self._normals)
+
+    def _joins(self, seeds):
+        """Every join of the subgroups `seeds` (member set -> generators),
+        grown from the trivial subgroup until nothing new appears, sorted
+        by (order, element tuple)."""
+        found = {frozenset([0]): []}
+        frontier = list(found)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for c, c_gens in seeds.items():
+                    if c <= h:
+                        continue
+                    members, gens = _closure(self, c_gens, h, found[h])
+                    grown = frozenset(members)
+                    if grown not in found:
+                        found[grown] = gens
+                        nxt.append(grown)
+            frontier = nxt
+        return sorted(map(self._subgroup_on, found), key=lambda s: (s.order(), s.members))
 
     def quotient(self, normal):
         """Quotient group with its projection list (element -> coset id)."""
@@ -262,7 +247,7 @@ class FiniteGroup:
             raise ValueError("quotient by a non-normal subgroup")
         reps, proj = _coset_labels(self, range(self.n), normal.members)
         perms = [[proj[perm[r]] for r in reps] for perm in self.perms]
-        return FiniteGroup(perms, self.generators), proj
+        return FiniteGroup(perms), proj
 
     def __repr__(self):
         label = self.name or "FiniteGroup"
@@ -455,7 +440,7 @@ def abelian_invariants_of_quotient(a, b):
         inv = a._quotients[b.member_set] = AbelianInvariants(0, ())
         return inv
     m = len(a.gens)
-    action = [[proj[g.mul(r, x)] for x in a.gens] for r in reps]
+    action = [[proj[g.mul(r, x)] for r in reps] for x in a.gens]
     tree = schreier_representatives(action)
     if len(tree) != k - 1:
         raise InternalError("generators fail to span the quotient")
@@ -465,8 +450,9 @@ def abelian_invariants_of_quotient(a, b):
         vec[s] = vec[q].copy()
         vec[s][pos] += 1
     rows = []
-    for q, targets in enumerate(action):
-        for pos, s in enumerate(targets):
+    for q in range(k):
+        for pos, col in enumerate(action):
+            s = col[q]
             row = [u - v for u, v in zip(vec[q], vec[s])]
             row[pos] += 1
             if any(row):

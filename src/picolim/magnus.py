@@ -93,24 +93,14 @@ class GradedAlgebra:
                 base = self.mul(base, base)
         return out
 
-    def lie(self, f, df, g, dg):
-        """f g - g f for homogeneous f and g of degrees df and dg."""
-        out = {}
-        self._add_product(out, f, g, self._shift[dg], 1)
-        self._add_product(out, g, f, self._shift[df], -1)
-        return out
-
 
 class ConjugationTable:
     """Series of the Hall basis elements, and the normal forms of the
     conjugates a_j^-f a_k a_j^f read off them.
 
-    The series of a_k, its inverse and its Lie part P_k, the homogeneous
-    part of degree weight(k) of the series of a_k, are each computed once
-    per group, when first asked for.  P_k is the bracket P_u P_v - P_v P_u
-    of the Lie parts of the factors of a_k = [a_u, a_v]: in degree
-    weight(k) the series of [x, y] is x y - y x for x and y in the
-    augmentation ideal.
+    The series of a_k and its inverse are each computed once per group,
+    when first asked for.  The Lie part P_k of a_k is the homogeneous part
+    of degree weight(k) of its series, read off the series as it is kept.
     """
 
     def __init__(self, basis):
@@ -120,7 +110,6 @@ class ConjugationTable:
         self._codes = [alg.code(word) for word, _, _ in basis.elements]
         self._series = {}
         self._inverse = {}
-        self._lie = {}
         wt = basis.weights
         # basis indices of each weight, in basis order
         self._layers = [[k for k in range(basis.size) if wt[k] == w] for w in range(basis.cls + 1)]
@@ -149,19 +138,6 @@ class ConjugationTable:
         """Series of a_idx^e, e != 0."""
         base = self.series(idx) if e > 0 else self.inverse(idx)
         return base if abs(e) == 1 else self.alg.pow(base, abs(e))
-
-    def lie(self, idx):
-        got = self._lie.get(idx)
-        if got is None:
-            _, weight, bracket = self.basis.elements[idx]
-            if weight == 1:
-                got = {bracket: 1}
-            else:
-                u, v = bracket
-                wt = self.basis.weights
-                got = self.alg.lie(self.lie(u), wt[u], self.lie(v), wt[v])
-            self._lie[idx] = got
-        return got
 
     def conjugate(self, k, j, f):
         """Normal form of a_j^-f a_k a_j^f."""
@@ -200,7 +176,7 @@ class ConjugationTable:
                 e = part.get(codes[k])
                 if e:
                     layer.append((k, e))
-                    _add_scaled(part, self.lie(k), -e)
+                    _add_scaled(part, self.series(k)[w], -e)
             if part:
                 raise InternalError("series is not the image of a group element")
             out += layer

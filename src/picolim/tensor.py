@@ -268,14 +268,19 @@ def relator_soundness(tp):
     A relator maps to the identity iff the right action of its boundary
     steps on the boundary image fixes the identity, at position 0."""
     _, perms = boundary_action(tp, tp.boundary_steps())
-    unsound = []
-    for rel in tp.base.relators:
+    return _moving(perms, tp.base.relators)
+
+
+def _moving(perms, relators):
+    """The relators whose walk through the column permutations moves point 0."""
+    out = []
+    for rel in relators:
         c = 0
         for x in rel:
             c = perms[x][c]
         if c:
-            unsound.append(rel)
-    return unsound
+            out.append(rel)
+    return out
 
 
 def crossed_module_check(tp):
@@ -320,24 +325,20 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
     for x, y in enumerate(image):
         if raw_steps[x] != (0 if y is None else steps[y]):
             raise InternalError(f"column {x} and its Tietze image have different boundary steps")
-    # coset 0 is the identity of T, so a relator holds iff it fixes coset 0
-    cosets = table.rows
-    for rel in tp.base.relators:
-        c = 0
-        for x in rel:
-            if image[x] is not None:
-                c = cosets[c][image[x]]
-        if c:
-            raise InternalError("a raw relator does not hold in the Tietze-reduced table")
-
+    # coset 0 is the identity of T, so a relator holds iff it fixes coset 0;
+    # a column that the reduction deletes acts as the identity
     t_order = table.n_cosets()
+    raw = [range(t_order) if y is None else table.perms[y] for y in image]
+    if _moving(raw, tp.base.relators):
+        raise InternalError("a raw relator does not hold in the Tietze-reduced table")
+
     image_group, perms = boundary_action(tp, steps)
     image_order = image_group.order()
     if t_order % image_order:
         raise InternalError("image order does not divide the order of T")
     kernel_order = t_order // image_order
 
-    pullback = coset_table_from_action(reduced.generators, list(zip(*perms)))
+    pullback = coset_table_from_action(perms)
     mat, ncols = schreier_rewrite_matrix(pullback, reduced.relators)
     invariants = AbelianInvariants.from_relation_matrix(mat, ncols)
 
@@ -376,7 +377,7 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
 def _boundary_values(G, steps, table):
     """Boundary image of every element of T, indexed by coset id, from the
     boundary step of each column of the table."""
-    tree = schreier_representatives(table.rows)
+    tree = schreier_representatives(table.perms)
     if len(tree) != table.n_cosets() - 1:
         raise InternalError("the table of T is not connected")
     dval = [0] * table.n_cosets()

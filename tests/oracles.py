@@ -732,9 +732,10 @@ def is_connected_tuple_all_pairs(t):
 # -- coset tables --------------------------------------------------------------
 
 
-def column_names(table):
+def column_names(names):
+    """The table column names over the generator names: g, g^-1, ..."""
     out = []
-    for g in table.generators:
+    for g in names:
         out.extend([g, f"{g}^-1"])
     return out
 
@@ -742,14 +743,15 @@ def column_names(table):
 def follow(table, coset, cols):
     """The coset reached from `coset` along a column tuple."""
     for x in cols:
-        coset = table.rows[coset][x]
+        coset = table.perms[x][coset]
     return coset
 
 
-def coset_table_csv(table):
-    lines = ["coset," + ",".join(column_names(table))]
-    for i, row in enumerate(table.rows):
-        lines.append(str(i) + "," + ",".join(str(v) for v in row))
+def coset_table_csv(table, names):
+    """The table as CSV, one line per coset, its columns named over `names`."""
+    lines = ["coset," + ",".join(column_names(names))]
+    for i in range(table.n_cosets()):
+        lines.append(str(i) + "," + ",".join(str(perm[i]) for perm in table.perms))
     return "\n".join(lines) + "\n"
 
 
@@ -886,9 +888,55 @@ def _closure_by_products(g, seed):
     return members
 
 
+def _closure_by_right_multiplication(g, gens):
+    """The subgroup generated by `gens`: the identity closed under right
+    multiplication by each of them (inverses are positive powers)."""
+    members = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in gens:
+                c = g.mul(a, s)
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return members
+
+
+def all_subgroups_by_elements(g):
+    """Every subgroup, grown from the trivial one by adjoining one element
+    at a time and closing from scratch, sorted by (order, element tuple).
+
+    <H, x> = <H, kx> for k in H, so one x per right coset Hx is tried."""
+    found = {frozenset([0]): ()}
+    frontier = [frozenset([0])]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            tried = set(h)
+            for x in range(1, g.n):
+                if x in tried:
+                    continue
+                tried.update(g.mul(k, x) for k in h)
+                gens = found[h] + (x,)
+                grown = frozenset(_closure_by_right_multiplication(g, gens))
+                if grown not in found:
+                    found[grown] = gens
+                    nxt.append(grown)
+        frontier = nxt
+    return sorted((FinSubgroup(g, m) for m in found), key=lambda s: (s.order(), s.members))
+
+
 def normal_subgroups_by_lattice(g):
-    """Normal subgroups found by filtering the whole subgroup lattice."""
-    return [h for h in g.all_subgroups() if h.is_normal()]
+    """Normal subgroups found by filtering the element-set subgroup lattice
+    with every conjugate of every member."""
+    return [
+        h
+        for h in all_subgroups_by_elements(g)
+        if all(g.conj(a, x) in h.member_set for a in range(g.n) for x in h.members)
+    ]
 
 
 def commutator_by_elements(h, k):

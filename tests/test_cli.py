@@ -282,6 +282,9 @@ def test_akcheck_needs_n_or_alt(capsys):
          "--limit", 0),
         (["akcheck", "--n", "-3"], "--n", -3),
         (["akcheck", "--n", "0"], "--n", 0),
+        (["connectivity", "--search-order", "0"], "--search-order", 0),
+        (["pi", "--n", "-1", "--group", "catalog:S3", "--subgroups", "full"], "--n", -1),
+        (["pi", "--n", "0", "--group", "catalog:S3", "--subgroups", "full"], "--n", 0),
     ],
 )
 def test_counts_below_one_rejected(capsys, argv, flag, value):

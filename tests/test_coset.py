@@ -118,17 +118,30 @@ def test_deterministic_rows():
     p = parse_presentation(S3)
     t1 = todd_coxeter(p)
     t2 = todd_coxeter(p)
-    assert t1.rows == t2.rows
-    assert coset_table_csv(t1) == coset_table_csv(t2)
+    assert t1.perms == t2.perms
+    assert coset_table_csv(t1, p.generators) == coset_table_csv(t2, p.generators)
 
 
 def test_to_csv_shape():
     p = parse_presentation("gens: a | rels: a^3")
     t = todd_coxeter(p)
-    lines = coset_table_csv(t).splitlines()
+    csv = coset_table_csv(t, p.generators)
+    lines = csv.splitlines()
     assert lines[0] == "coset,a,a^-1"
-    assert len(lines) == 4
-    assert coset_table_csv(t).endswith("\n")
+    assert lines[1:] == ["0,1,2", "1,2,0", "2,0,1"]
+    assert csv.endswith("\n")
+
+
+@pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+def test_columns_are_mutually_inverse_permutations(strategy):
+    # every column acts as a bijection of the cosets, and x ^ 1 undoes x
+    for name in catalog_names():
+        t = todd_coxeter(catalog_presentation(name), strategy=strategy)
+        n = t.n_cosets()
+        for x, perm in enumerate(t.perms):
+            assert sorted(perm) == list(range(n))
+            inverse = t.perms[x ^ 1]
+            assert all(inverse[perm[c]] == c for c in range(n))
 
 
 def _felsch_pin_presentation(name):
@@ -153,7 +166,8 @@ def _felsch_pin_presentation(name):
 def test_felsch_tables_pinned(name, defined, n_cosets, rows_sha):
     t = todd_coxeter(_felsch_pin_presentation(name), strategy="felsch")
     assert (t.defined, t.n_cosets()) == (defined, n_cosets)
-    assert hashlib.sha256(repr(t.rows).encode()).hexdigest()[:16] == rows_sha
+    rows = [list(r) for r in zip(*t.perms)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == rows_sha
 
 
 def test_unknown_strategy_rejected():
@@ -164,13 +178,14 @@ def test_unknown_strategy_rejected():
 
 def _swap_fix_table():
     # a swaps the two points, b fixes both
-    return coset_table_from_action(("a", "b"), [[1, 1, 0, 0], [0, 0, 1, 1]])
+    return coset_table_from_action([[1, 0], [1, 0], [0, 1], [0, 1]])
 
 
 def test_action_table_and_representatives():
     t = _swap_fix_table()
+    assert (t.n_cosets(), t.defined) == (2, 2)
     # the tree edge (b, a, x) reaches b = 1 from a = 0 along column x = 0
-    assert schreier_representatives(t.rows) == [(1, 0, 0)]
+    assert schreier_representatives(t.perms) == [(1, 0, 0)]
 
 
 def test_rewrite_free_subgroup_rank():
@@ -183,10 +198,11 @@ def test_rewrite_free_subgroup_rank():
 
 
 # S3 = <r, s> acting on the right cosets of <r> (H, Hs) and of <s>
-# (H, Hr, Hr^2); columns r, r^-1, s, s^-1, and point 0 is H itself
+# (H, Hr, Hr^2); one permutation per column r, r^-1, s, s^-1, and point 0
+# is H itself
 S3_COSET_ACTIONS = {
-    "r": [[0, 0, 1, 1], [1, 1, 0, 0]],
-    "s": [[1, 2, 0, 0], [2, 0, 2, 2], [0, 1, 1, 1]],
+    "r": [[0, 1], [0, 1], [1, 0], [1, 0]],
+    "s": [[1, 2, 0], [2, 0, 1], [0, 2, 1], [0, 2, 1]],
 }
 
 
@@ -199,7 +215,7 @@ S3_COSET_ACTIONS = {
 )
 def test_rewrite_known_subgroups(sub, expected):
     p = parse_presentation(S3)
-    t = coset_table_from_action(p.generators, S3_COSET_ACTIONS[sub])
+    t = coset_table_from_action(S3_COSET_ACTIONS[sub])
     assert follow(t, 0, p.encode(parse_word(sub, p.generators))) == 0
     rows, ncols = schreier_rewrite_matrix(t, p.relators)
     assert AbelianInvariants.from_relation_matrix(rows, ncols) == expected
@@ -209,7 +225,7 @@ def test_rewrite_rows_are_sparse():
     # r^3, s^2 and s*r*s^-1*r rewritten at the two cosets of <r>, over the
     # Schreier generators r at H, r at Hs and s at Hs
     p = parse_presentation(S3)
-    t = coset_table_from_action(p.generators, S3_COSET_ACTIONS["r"])
+    t = coset_table_from_action(S3_COSET_ACTIONS["r"])
     rows, ncols = schreier_rewrite_matrix(t, p.relators)
     assert ncols == 3
     assert rows == sparse([[3, 0, 0], [0, 3, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 0]])

@@ -86,7 +86,7 @@ def _raw_schreier_matrix(tp):
     """Schreier matrix of the kernel from the raw presentation of T, which
     has every relator instance, so its rows are many and sparse."""
     _, perms = boundary_action(tp, tp.boundary_steps())
-    table = coset_table_from_action(tp.base.generators, list(zip(*perms)))
+    table = coset_table_from_action(perms)
     return schreier_rewrite_matrix(table, tp.base.relators)
 
 

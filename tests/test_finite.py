@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     abelian_invariants,
     abelian_invariants_of_quotient_greedy,
+    all_subgroups_by_elements,
     catalog_presentation,
     commutator_by_elements,
     coset_labels_by_min,
@@ -101,10 +102,11 @@ def test_element_orders_divide_group_order(q8, s3):
 
 
 def test_word_image_kills_relators(s3):
+    names = ("r", "s")
     for rel in ("r^3", "s^2", "s*r*s^-1*r"):
-        assert s3.word_image(parse_word(rel, s3.generators)) == 0
-    assert s3.word_image(parse_word("r", s3.generators)) == s3.gens()[0]
-    assert s3.word_image(parse_word("r^-1", s3.generators)) == s3.inv(s3.gens()[0])
+        assert s3.word_image(parse_word(rel, names)) == 0
+    assert s3.word_image(parse_word("r", names)) == s3.gens()[0]
+    assert s3.word_image(parse_word("r^-1", names)) == s3.inv(s3.gens()[0])
     with pytest.raises(ValueError, match="letter 2 is outside the 2 generators"):
         s3.word_image(Word.gen(2))
 
@@ -112,16 +114,17 @@ def test_word_image_kills_relators(s3):
 def test_word_image_reduces_exponents_by_group_order(s3):
     # r has order 3 in S3, and 10^12 + 1 = 2 mod 3
     r = s3.gens()[0]
-    assert s3.word_image(parse_word("r^1000000000001", s3.generators)) == s3.inv(r)
-    assert s3.word_image(parse_word("s^-1000000000001*r^-1000000000000", s3.generators)) == (
-        s3.word_image(parse_word("s*r^2", s3.generators))
+    names = ("r", "s")
+    assert s3.word_image(parse_word("r^1000000000001", names)) == s3.inv(r)
+    assert s3.word_image(parse_word("s^-1000000000001*r^-1000000000000", names)) == (
+        s3.word_image(parse_word("s*r^2", names))
     )
     c64 = catalog_group("C64")
     a = c64.gens()[0]
     # 10^12 is divisible by 64, so a^(10^12 + 1) = a and a^-(10^12 + 1) = a^-1
-    assert c64.word_image(parse_word("a^1000000000001", c64.generators)) == a
-    assert c64.word_image(parse_word("a^-1000000000001", c64.generators)) == c64.inv(a)
-    assert c64.word_image(parse_word("a^-1000000000000", c64.generators)) == 0
+    assert c64.word_image(parse_word("a^1000000000001", ("a",))) == a
+    assert c64.word_image(parse_word("a^-1000000000001", ("a",))) == c64.inv(a)
+    assert c64.word_image(parse_word("a^-1000000000000", ("a",))) == 0
     sub = catalog_subgroup("C64", "{a^1000000000001}")
     assert sub == c64.full_subgroup()
     report = pi_n_colimit(NormalTuple(c64, (sub,)))
@@ -187,7 +190,6 @@ def test_quotient_s4_mod_v4(s4):
     assert not is_abelian(q)
     # each generator of the quotient is read off its permutations
     assert q.gens() == tuple(proj[g] for g in s4.gens())
-    assert q.generators == s4.generators
     rng = random.Random(23)
     for _ in range(100):
         a = rng.randrange(s4.n)
@@ -321,6 +323,15 @@ def test_normal_subgroups_match_lattice():
     for g in groups:
         # same subgroups in the same (order, members) order as the lattice
         assert g.normal_subgroups() == normal_subgroups_by_lattice(g), g.name
+
+
+def test_all_subgroups_match_element_sets():
+    groups = [catalog_group(name) for name in catalog_names()]
+    groups += [_realize(A5_TEXT, name="A5"), _realize(PSL27_TEXT, name="PSL(2,7)")]
+    for g in groups:
+        # same subgroups in the same (order, members) order as the element-set walk
+        assert g.all_subgroups() == all_subgroups_by_elements(g), g.name
+    assert [len(g.all_subgroups()) for g in groups[-2:]] == [59, 179]
 
 
 def test_normal_subgroups_returns_a_copy(s3):

@@ -32,7 +32,7 @@ _COSET = """
 from picolim.coset import coset_table_from_action, schreier_rewrite_matrix
 
 # x swaps two points, so the relator x does not fix them
-table = coset_table_from_action(("x",), [[1, 1], [0, 0]])
+table = coset_table_from_action([[1, 0], [1, 0]])
 try:
     schreier_rewrite_matrix(table, [(0,)])
 except InternalError as exc:
@@ -109,13 +109,13 @@ except InternalError as exc:
 """
 
 _MAGNUS = """
-import picolim.magnus as magnus
 from picolim.nilpotent import free_nilpotent
 
-lie = magnus.ConjugationTable.lie
-# every Lie part doubled: extraction divides out twice what it reads
-magnus.ConjugationTable.lie = lambda self, k: {m: 2 * c for m, c in lie(self, k).items()}
 G = free_nilpotent(2, 3)
+# the Lyndon words of the two basis elements of weight 3 swapped: extraction
+# reads each exponent off the other's word and leaves a remainder
+codes = G._table._codes
+codes[3], codes[4] = codes[4], codes[3]
 try:
     G.mul(G.gen(1), G.gen(0))
 except InternalError as exc:
