@@ -2,9 +2,8 @@
 
 Two strategies share one table and one coincidence routine:
 
-  - "hlt": relator-driven scanning with filling, plus a deterministic
-    lookahead pass every LOOKAHEAD_INTERVAL definitions (scan without
-    definitions to collapse the table before continuing);
+  - "hlt": relator-driven scanning with filling: each live coset in turn
+    traces every relator, defining cosets to close it, then fills its row;
   - "felsch": definition-driven, closing all consequences of each new table
     entry through a deduction stack before defining the next coset.
 
@@ -27,7 +26,6 @@ from .errors import BudgetError, InternalError
 from .presentations import cyclic_reduce, cyclic_words
 
 EMPTY = -1
-LOOKAHEAD_INTERVAL = 100_000
 COSET_LIMIT = 1_000_000  # default limit on definitions, also of --limit
 
 
@@ -164,39 +162,19 @@ class _Enumeration:
             f = self.define(f, w[i])
             i += 1
 
-    def lookahead(self):
-        for gamma in range(len(self.p)):
-            if self.p[gamma] != gamma:
-                continue
-            for w in self.relators:
-                self.scan(gamma, w, fill=False)
-                if self.p[gamma] != gamma:
-                    break
-
     def run_hlt(self):
-        next_look = LOOKAHEAD_INTERVAL
         alpha = 0
         while alpha < len(self.p):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            if self.defined >= next_look:
-                self.lookahead()
-                next_look += LOOKAHEAD_INTERVAL
-                if self.p[alpha] != alpha:
-                    alpha += 1
-                    continue
-            died = False
-            for w in self.relators:
-                self.scan(alpha, w, fill=True)
-                if self.p[alpha] != alpha:
-                    died = True
-                    break
-            if not died:
-                base = alpha * self.nc
-                for x in range(self.nc):
-                    if self.tab[base + x] < 0:
-                        self.define(alpha, x)
+            if self.p[alpha] == alpha:
+                for w in self.relators:
+                    self.scan(alpha, w, fill=True)
+                    if self.p[alpha] != alpha:
+                        break
+                else:
+                    base = alpha * self.nc
+                    for x in range(self.nc):
+                        if self.tab[base + x] < 0:
+                            self.define(alpha, x)
             alpha += 1
 
     def run_felsch(self, ded_rels):

@@ -10,7 +10,9 @@ The multiplication table is composed along the Schreier tree rather than
 traced word by word: if b = a*x for a tree edge labelled by column x, then
 mul(i, b) = perm_x[mul(i, a)], so column b is column a pushed through one
 permutation.  The table is column-major (mul(i, j) = _mul[j][i]); above
-_MUL_TABLE_CAP elements no table is kept and products are traced.
+_MUL_TABLE_CAP elements no table is kept and products are traced.  The
+group keeps the tree as `tree`, so a map given on the columns, such as
+the boundary of a tensor group, folds along it to every element.
 
 FinSubgroup is an element set inside a parent FiniteGroup, together with
 a greedy generating set.  Closures are a BFS over right multiplication by
@@ -55,20 +57,20 @@ class FiniteGroup:
         self.perms = perms
         self._gens = tuple(p[0] for p in self.perms[::2])
         self.name = name
-        # Schreier representatives as column tuples along the BFS tree,
-        # whose edges (b, a, x) with b = a*x come parents first
-        tree = schreier_representatives(self.perms)
-        if len(tree) != self.n - 1:
+        # the BFS Schreier tree, whose edges (b, a, x) with b = a*x come
+        # parents first, and the representatives as column tuples along it
+        self.tree = schreier_representatives(self.perms)
+        if len(self.tree) != self.n - 1:
             raise ValueError("generator permutations do not act transitively")
         self._rep_cols = [()] * self.n
-        for b, a, x in tree:
+        for b, a, x in self.tree:
             self._rep_cols[b] = self._rep_cols[a] + (x,)
         self._mul = None
         if self.n <= _MUL_TABLE_CAP:
             # column-major: column b = a*x is column a pushed through perm_x
             cols = [None] * self.n
             cols[0] = list(range(self.n))
-            for b, a, x in tree:
+            for b, a, x in self.tree:
                 cols[b] = list(map(self.perms[x].__getitem__, cols[a]))
             self._mul = cols
         self._inv = [self._find_inverse(i) for i in range(self.n)]
@@ -193,7 +195,7 @@ class FiniteGroup:
                 members, gens = _closure(self, (g,))
                 cyclic.setdefault(frozenset(members), gens)
             self._subgroups = self._joins(cyclic)
-        return self._subgroups
+        return list(self._subgroups)
 
     def normal_subgroups(self):
         """Every normal subgroup, sorted by (order, element tuple).

@@ -156,9 +156,10 @@ def tietze(p):
     freely and cyclically reduced.  A single letter x kills its generator.
     Two letters x y of distinct generators identify x with y^-1 in a
     union-find whose classes keep their lowest generator; x x stays as a
-    relator.  Passes repeat until one changes nothing.  The relators left
-    are deduplicated up to rotation and inversion, in order of first
-    occurrence, and the surviving generators keep their names and order.
+    relator.  Passes repeat until one changes nothing, each over the
+    distinct words the last one kept.  The relators left are deduplicated
+    up to rotation and inversion, in order of first occurrence, and the
+    surviving generators keep their names and order.
     These are Tietze moves (Havas, Kenne, Richardson and Robertson, "A
     Tietze transformation program", 1984), so both presentations define
     the same group.
@@ -185,7 +186,7 @@ def tietze(p):
     changed = True
     while changed:
         changed = False
-        kept = []
+        kept = {}
         for rel in rels:
             w = _substitute(rel, image)
             if len(w) == 1:
@@ -196,14 +197,14 @@ def tietze(p):
                 relabel(high >> 1, low ^ (high & 1))
                 changed = True
             elif w:
-                kept.append(w)
+                kept[w] = None
         rels = kept
 
     survivors = [g for g in range(n) if members[g] is not None]
     if not survivors:
         return Presentation(p.generators[:1], [(0,)]), image
     first = {}
-    for w in dict.fromkeys(rels):
+    for w in rels:
         first.setdefault(min(cyclic_words(w)), w)
     new = {2 * g: 2 * k for k, g in enumerate(survivors)}
     relators = [tuple(new[x & ~1] | (x & 1) for x in w) for w in first.values()]

@@ -7,7 +7,11 @@ b in N_B, subject to four relator families (inverse symmetry of the two
 orientations, biadditivity after conjugation, a three-block cyclic
 relation, and conjugation of one symbol by another through the boundary).
 The boundary sends a (x) b to the commutator [a, b] and makes T -> G a
-crossed module under the diagonal conjugation action on symbols.
+crossed module under the diagonal conjugation action on symbols.  build_T
+forms each boundary value once, where the conjugation relators need it,
+and the presentation keeps them as steps: steps[x] is the image of column
+x.  The boundary image, the soundness check, the crossed-module check and
+the kernel all read that one list.
 
 Relators are instantiated exhaustively over the finite element ranges as
 column tuples (symbol i is column 2*i, its inverse 2*i+1) and deduplicated
@@ -19,7 +23,8 @@ specification.  kernel_of_boundary enumerates T by coset enumeration of
 its Tietze reduction (presentations.tietze), checks that every raw
 relator holds in the reduced table, rewrites the kernel through a
 Schreier transversal of the boundary image, and cross-checks against a
-direct realization of T whenever the order cap admits one.
+direct realization of T, whose boundary values are folded along the
+Schreier tree T was realized on, whenever the order cap admits one.
 """
 
 from itertools import repeat
@@ -29,7 +34,6 @@ from .abelian import AbelianInvariants
 from .coset import (
     COSET_LIMIT,
     coset_table_from_action,
-    schreier_representatives,
     schreier_rewrite_matrix,
     todd_coxeter,
 )
@@ -59,42 +63,22 @@ class TensorSymbol(NamedTuple):
 
 
 class TensorPresentation:
-    def __init__(self, ambient, column, relators, families):
-        """column maps each symbol to its generator column, in symbol order."""
+    def __init__(self, ambient, column, relators, families, steps):
+        """column maps each symbol to its generator column, in symbol order;
+        steps[x] is the boundary image of column x."""
         self.ambient = ambient
         self.column = column
         self.symbols = list(column)
         self.base = Presentation([s.name for s in self.symbols], relators)
         self.families = families
+        self.steps = steps
         self._reduction = None
-
-    def symbol(self, A, B, a, b):
-        s = TensorSymbol(tuple(A), tuple(B), a, b)
-        if s not in self.column:
-            raise KeyError(f"no symbol {s}")
-        return s
-
-    def boundary_of(self, sym):
-        return self.ambient.comm(sym.a, sym.b)
-
-    def act(self, g, sym):
-        """Diagonal conjugation ^g(a (x) b) = (gag^-1) (x) (gbg^-1)."""
-        G = self.ambient
-        return self.symbol(sym.A, sym.B, G.conj(g, sym.a), G.conj(g, sym.b))
 
     def reduction(self):
         """tietze(self.base), computed once."""
         if self._reduction is None:
             self._reduction = tietze(self.base)
         return self._reduction
-
-    def boundary_steps(self):
-        """Boundary image of each generator column, indexed by column."""
-        steps = []
-        for s in self.symbols:
-            d = self.boundary_of(s)
-            steps += (d, self.ambient.inv(d))
-        return steps
 
 
 def _block_subgroup(subgroups, A):
@@ -189,7 +173,7 @@ def build_T(t):
     elements = set().union(*(block.members for block in blocks.values()))
     actions = {}
 
-    def acting(g):
+    def conjugated(g):
         act = actions.get(g)
         if act is None:
             conj = {x: G.conj(g, x) for x in elements}
@@ -204,7 +188,7 @@ def build_T(t):
     for A, B in partitions:
         na, nb = blocks[A].members, blocks[B].members
         for a in na:
-            act = acting(a)
+            act = conjugated(a)
             for a2 in na:
                 for b in nb:
                     left = column[(A, B, G.mul(a, a2), b)]
@@ -229,21 +213,25 @@ def build_T(t):
     # s1 s2 s1^-1 (^(ds1) s2)^-1 = 1.  Symbol columns are even, so this word
     # is freely reduced unless s2 = s1, and its first two letters set it
     # apart from every other relator; only the s2 = s1 word goes through emit.
+    # ds1 = [a1, b1] is the boundary step of column s1, its inverse that of s1 ^ 1.
     cols = list(column.values())
+    steps = []
     for (_, _, a1, b1), s1 in column.items():
-        act = acting(G.comm(a1, b1))
+        d = G.comm(a1, b1)
+        steps += (d, G.inv(d))
+        act = conjugated(d)
         i = s1 >> 1
         relators.extend(zip(repeat(s1), cols[:i], repeat(s1 ^ 1), act[:i]))
         emit((s1, s1, s1 ^ 1, act[i]), "conjugation")
         relators.extend(zip(repeat(s1), cols[i + 1:], repeat(s1 ^ 1), act[i + 1:]))
     families["conjugation"] += len(symbols) * (len(symbols) - 1)
 
-    return TensorPresentation(G, column, relators, families)
+    return TensorPresentation(G, column, relators, families, steps)
 
 
 def boundary_image(tp):
     """Subgroup of the ambient group generated by all boundary values."""
-    return tp.ambient.subgroup(tp.boundary_of(s) for s in tp.symbols)
+    return tp.ambient.subgroup(tp.steps[::2])
 
 
 def boundary_action(tp, steps):
@@ -267,7 +255,7 @@ def relator_soundness(tp):
 
     A relator maps to the identity iff the right action of its boundary
     steps on the boundary image fixes the identity, at position 0."""
-    _, perms = boundary_action(tp, tp.boundary_steps())
+    _, perms = boundary_action(tp, tp.steps)
     return _moving(perms, tp.base.relators)
 
 
@@ -284,11 +272,14 @@ def _moving(perms, relators):
 
 
 def crossed_module_check(tp):
-    """The compatibility boundary(^g t) = g boundary(t) g^-1, exhaustively."""
+    """The compatibility boundary(^g t) = g boundary(t) g^-1, exhaustively,
+    under the diagonal action ^g(a (x) b) = (gag^-1) (x) (gbg^-1); a
+    conjugate that is not a symbol fails too."""
     G = tp.ambient
     for g in range(G.n):
-        for s in tp.symbols:
-            if tp.boundary_of(tp.act(g, s)) != G.conj(g, tp.boundary_of(s)):
+        for s, x in tp.column.items():
+            a, b = G.conj(g, s.a), G.conj(g, s.b)
+            if (s.A, s.B, a, b) not in tp.column or G.comm(a, b) != G.conj(g, tp.steps[x]):
                 return False, (g, s)
     return True, None
 
@@ -315,15 +306,14 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
     reduced, image = tp.reduction()
     table = todd_coxeter(reduced, limit=limit, strategy=strategy)
     G = tp.ambient
-    raw_steps = tp.boundary_steps()
     # each reduced column takes the step of the lowest column that maps to
     # it; nothing maps to a column only when every generator dies
     steps = [0] * (2 * len(reduced.generators))
     for x in reversed(range(len(image))):
         if image[x] is not None:
-            steps[image[x]] = raw_steps[x]
+            steps[image[x]] = tp.steps[x]
     for x, y in enumerate(image):
-        if raw_steps[x] != (0 if y is None else steps[y]):
+        if tp.steps[x] != (0 if y is None else steps[y]):
             raise InternalError(f"column {x} and its Tietze image have different boundary steps")
     # coset 0 is the identity of T, so a relator holds iff it fixes coset 0;
     # a column that the reduction deletes acts as the identity
@@ -349,7 +339,10 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
         T = None
         notes.append("T too large to realize; invariants not cross-checked")
     if T is not None:
-        dval = _boundary_values(G, steps, table)
+        # boundary image of every element of T, along the tree T was realized on
+        dval = [0] * T.n
+        for b, a, x in T.tree:
+            dval[b] = G.mul(dval[a], steps[x])
         members = [j for j in range(T.n) if dval[j] == 0]
         if len(members) != kernel_order:
             raise InternalError("direct kernel order differs from |T| / |image|")
@@ -372,15 +365,3 @@ def kernel_of_boundary(tp, limit=COSET_LIMIT, strategy="hlt"):
         "strategy": strategy,
         "notes": notes,
     }
-
-
-def _boundary_values(G, steps, table):
-    """Boundary image of every element of T, indexed by coset id, from the
-    boundary step of each column of the table."""
-    tree = schreier_representatives(table.perms)
-    if len(tree) != table.n_cosets() - 1:
-        raise InternalError("the table of T is not connected")
-    dval = [0] * table.n_cosets()
-    for b, a, x in tree:
-        dval[b] = G.mul(dval[a], steps[x])
-    return dval

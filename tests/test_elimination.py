@@ -85,7 +85,7 @@ def _schreier_matrices(monkeypatch, tuples):
 def _raw_schreier_matrix(tp):
     """Schreier matrix of the kernel from the raw presentation of T, which
     has every relator instance, so its rows are many and sparse."""
-    _, perms = boundary_action(tp, tp.boundary_steps())
+    _, perms = boundary_action(tp, tp.steps)
     table = coset_table_from_action(perms)
     return schreier_rewrite_matrix(table, tp.base.relators)
 

@@ -340,6 +340,13 @@ def test_normal_subgroups_returns_a_copy(s3):
     assert len(s3.normal_subgroups()) == 3
 
 
+def test_lattices_stay_whole_after_a_caller_appends(s3):
+    for lattice, count in ((s3.all_subgroups, 6), (s3.normal_subgroups, 3)):
+        result = lattice()
+        result.append(result[0])
+        assert len(lattice()) == count
+
+
 def test_commutator_matches_elements_s4(s4):
     subs = s4.all_subgroups()
     for h, k in product(subs, repeat=2):

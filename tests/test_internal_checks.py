@@ -66,7 +66,7 @@ from picolim.colimit import NormalTuple
 a4 = catalog_group("A4")
 tp = tensor.build_T(NormalTuple(a4, (a4.derived_subgroup(), a4.full_subgroup())))
 # every symbol now bounds 1, so all of T, of order 8 and nonabelian, passes for the kernel
-tensor.TensorPresentation.boundary_of = lambda self, sym: 0
+tp.steps[:] = [0] * len(tp.steps)
 try:
     tensor.kernel_of_boundary(tp)
 except InternalError as exc:

@@ -3,6 +3,7 @@ import pytest
 from oracles import catalog_presentation
 from picolim.catalog import catalog_group, catalog_names
 from picolim.colimit import NormalTuple
+from picolim import presentations
 from picolim.errors import BudgetError, ParseError
 from picolim.presentations import (
     Presentation,
@@ -204,6 +205,20 @@ def test_tietze_deduplicates_up_to_rotation_and_inversion():
 def test_tietze_leaves_a_presentation_without_short_relators_alone():
     p = parse_presentation("gens: a,b | rels: a^3, b^2, a*b*a*b")
     assert tietze(p) == (p, [0, 1, 2, 3])
+
+
+def test_tietze_passes_rewrite_each_distinct_relator_once(monkeypatch):
+    calls = []
+    substitute = presentations._substitute
+
+    def counted(rel, image):
+        calls.append(rel)
+        return substitute(rel, image)
+
+    monkeypatch.setattr(presentations, "_substitute", counted)
+    s3 = catalog_group("S3")
+    tietze(build_T(NormalTuple(s3, (s3.full_subgroup(),) * 3)).base)
+    assert len(calls) == 50_749
 
 
 def test_encode_refuses_words_over_the_letter_budget():

@@ -52,6 +52,18 @@ def test_symbol_count_order2_pair():
     # 2 ordered partitions x 4 element pairs
     assert len(tp.symbols) == 8
     assert len(tp.base.generators) == 8
+    for s in tp.symbols:
+        assert tp.base.generators[tp.column[s] // 2] == s.name
+
+
+@pytest.mark.parametrize("name,n", [("S3", 2), ("C2", 3)])
+def test_steps_are_the_commutators(name, n):
+    tp = build_T(_full_tuple(name, n))
+    G = tp.ambient
+    assert len(tp.steps) == 2 * len(tp.symbols)
+    for s, x in tp.column.items():
+        d = G.comm(s.a, s.b)
+        assert (tp.steps[x], tp.steps[x ^ 1]) == (d, G.inv(d)), s
 
 
 def test_family_counts_order2_triple():
@@ -97,8 +109,21 @@ def test_soundness_returns_exactly_the_unsound_relator():
     G = tp.ambient
     s = next(s for s in tp.symbols if G.comm(s.a, s.b) != 0)
     bad = (tp.column[s],)
-    wrong = TensorPresentation(G, tp.column, tp.base.relators + (bad,), tp.families)
+    wrong = TensorPresentation(G, tp.column, tp.base.relators + (bad,), tp.families, tp.steps)
     assert relator_soundness(wrong) == [bad]
+
+
+def test_crossed_module_check_reads_the_steps():
+    tp = build_T(_full_tuple("S3", 2))
+    G = tp.ambient
+    s = next(s for s in tp.symbols if G.comm(s.a, s.b) != 0)
+    zeroed = TensorPresentation(G, tp.column, tp.base.relators, tp.families, [0] * len(tp.steps))
+    assert crossed_module_check(zeroed) == (False, (0, s))
+    # a column without the conjugates of its symbols is no crossed module
+    column = {t: x for t, x in tp.column.items() if t.a != s.a}
+    part = TensorPresentation(G, column, (), tp.families, tp.steps)
+    ok, (g, t) = crossed_module_check(part)
+    assert not ok and G.conj(g, t.a) == s.a
 
 
 def test_boundary_image():
@@ -106,22 +131,6 @@ def test_boundary_image():
     assert boundary_image(tp).order() == 3  # derived subgroup of S3
     tp = build_T(_full_tuple("V4", 2))
     assert boundary_image(tp).order() == 1  # abelian ambient
-
-
-def test_act_stays_inside_symbols():
-    tp = build_T(_full_tuple("S3", 2))
-    g = catalog_group("S3")
-    for s in tp.symbols[:10]:
-        moved = tp.act(g.gens()[0], s)
-        assert moved in tp.column
-
-
-def test_symbol_lookup():
-    tp = build_T(_full_tuple("C2", 2))
-    s = tp.symbol((1,), (2,), 1, 1)
-    assert tp.base.generators[tp.column[s] // 2] == s.name
-    with pytest.raises(KeyError):
-        tp.symbol((1,), (2,), 1, 7)
 
 
 @pytest.mark.parametrize(
