@@ -185,11 +185,12 @@ def witness_json(witness):
 
 def check_hypothesis(t):
     """Connectivity of every (n-1)-subtuple; transcript for reporting.
-    The one subtuple of a 1-tuple is empty, so connected, and NormalTuple
-    refuses it."""
+    For n <= 3 each subtuple has at most two subgroups, so it is connected
+    (see is_connected_tuple) and none is built; NormalTuple refuses the
+    empty one of a 1-tuple."""
     transcript = []
     for omit in range(t.n):
-        ok, witness = is_connected_tuple(t.subtuple(omit)) if t.n > 1 else (True, None)
+        ok, witness = is_connected_tuple(t.subtuple(omit)) if t.n > 3 else (True, None)
         transcript.append({
             "omitted": omit + 1,
             "connected": ok,

@@ -10,9 +10,10 @@ The multiplication table is composed along the Schreier tree rather than
 traced word by word: if b = a*x for a tree edge labelled by column x, then
 mul(i, b) = perm_x[mul(i, a)], so column b is column a pushed through one
 permutation.  The table is column-major (mul(i, j) = _mul[j][i]); above
-_MUL_TABLE_CAP elements no table is kept and products are traced.  The
-group keeps the tree as `tree`, so a map given on the columns, such as
-the boundary of a tensor group, folds along it to every element.
+_MUL_TABLE_CAP elements no table is kept and products are traced.
+Inverses follow the same tree: b^-1 = x^-1 * a^-1.  The group keeps the
+tree as `tree`, so a map given on the columns, such as the boundary of a
+tensor group, folds along it to every element.
 
 FinSubgroup is an element set inside a parent FiniteGroup, together with
 a greedy generating set.  Closures are a BFS over right multiplication by
@@ -32,9 +33,11 @@ product and commutator, comes from that table: a member set seen before
 returns the same object without another closure, and a new one is
 validated and given its greedy generators once.  The object keeps its
 normality once asked and the invariants of each quotient A/B it is the
-numerator of, keyed by the members of B.  Refusals are not kept, and no
-operation is cached by its operands: a result is only ever looked up by
-its member set.
+numerator of, keyed by the members of B.  It also keeps its meet, join
+and commutator with each subgroup K it has met, keyed by the members of
+K, and each result is kept on K as well, since all three are symmetric:
+H cap K = K cap H, HK = KH when one factor is normal, and [H, K] = [K, H].
+Refusals are not kept.
 """
 
 import random
@@ -58,13 +61,10 @@ class FiniteGroup:
         self._gens = tuple(p[0] for p in self.perms[::2])
         self.name = name
         # the BFS Schreier tree, whose edges (b, a, x) with b = a*x come
-        # parents first, and the representatives as column tuples along it
+        # parents first
         self.tree = schreier_representatives(self.perms)
         if len(self.tree) != self.n - 1:
             raise ValueError("generator permutations do not act transitively")
-        self._rep_cols = [()] * self.n
-        for b, a, x in self.tree:
-            self._rep_cols[b] = self._rep_cols[a] + (x,)
         self._mul = None
         if self.n <= _MUL_TABLE_CAP:
             # column-major: column b = a*x is column a pushed through perm_x
@@ -73,7 +73,16 @@ class FiniteGroup:
             for b, a, x in self.tree:
                 cols[b] = list(map(self.perms[x].__getitem__, cols[a]))
             self._mul = cols
-        self._inv = [self._find_inverse(i) for i in range(self.n)]
+        else:
+            # products trace the representatives, column tuples along the tree
+            self._rep_cols = [()] * self.n
+            for b, a, x in self.tree:
+                self._rep_cols[b] = self._rep_cols[a] + (x,)
+        # b^-1 = x^-1 * a^-1, one product (a lookup below the cap);
+        # _check_axioms verifies the inverse axiom for every element
+        self._inv = [0] * self.n
+        for b, a, x in self.tree:
+            self._inv[b] = self.mul(self.perms[x ^ 1][0], self._inv[a])
         self._table = {}  # member frozenset -> its one FinSubgroup
         self._subgroups = None
         self._normals = None
@@ -91,15 +100,6 @@ class FiniteGroup:
         for x in cols:
             start = self.perms[x][start]
         return start
-
-    def _find_inverse(self, i):
-        # follow the representative word of i backwards from the identity;
-        # _check_axioms verifies the inverse axiom for every element
-        cols = self._rep_cols[i]
-        out = 0
-        for x in reversed(cols):
-            out = self.perms[x ^ 1][out]
-        return out
 
     def _check_axioms(self):
         for i in range(self.n):
@@ -340,6 +340,10 @@ class FinSubgroup:
         self.gens = tuple(gens)
         self._normal = None
         self._quotients = {}  # member frozenset of B -> invariants of self/B
+        # member frozenset of K -> self cap K, self K and [self, K]
+        self._meets = {}
+        self._joins = {}
+        self._commutators = {}
 
     def order(self):
         return len(self.members)
@@ -365,27 +369,32 @@ class FinSubgroup:
             )
         return self._normal
 
-    def intersect(self, other):
+    def _kept(self, table, other, compute):
+        """The subgroup on the members `compute(self, other)`, looked up by
+        the members of `other` in the table named `table` and, once
+        computed, kept in that table on both operands: each of the three
+        operations gives the same subgroup in either order."""
         self._same_parent(other)
-        return self.parent._subgroup_on(self.member_set & other.member_set)
+        kept = getattr(self, table)
+        sub = kept.get(other.member_set)
+        if sub is None:
+            sub = self.parent._subgroup_on(compute(self, other))
+            kept[other.member_set] = sub
+            getattr(other, table)[self.member_set] = sub
+        return sub
+
+    def intersect(self, other):
+        return self._kept("_meets", other, _meet)
 
     def product(self, other):
         """Set product HK; requires at least one factor normal, so that
-        HK is the subgroup generated by H and K."""
-        self._same_parent(other)
-        if not (self.is_normal() or other.is_normal()):
-            raise ValueError("product requires one normal factor")
-        members, _ = _closure(self.parent, other.gens, self.members, self.gens)
-        return self.parent._subgroup_on(members)
+        HK is the subgroup generated by H and K, and HK = KH."""
+        return self._kept("_joins", other, _join)
 
     def commutator(self, other):
-        """[H, K]: the normal closure in <H, K> of the commutators of the
-        generators of H with those of K."""
-        self._same_parent(other)
-        g = self.parent
-        comms = [g.comm(a, b) for a in self.gens for b in other.gens]
-        members, _ = _normal_closure(g, self.gens + other.gens, comms)
-        return g._subgroup_on(members)
+        """[H, K] = [K, H]: the normal closure in <H, K> of the commutators
+        of the generators of H with those of K."""
+        return self._kept("_commutators", other, _commutator)
 
     def quotient_invariants(self, sub):
         return abelian_invariants_of_quotient(self, sub)
@@ -409,6 +418,22 @@ class FinSubgroup:
 
     def __repr__(self):
         return f"<subgroup of order {self.order()}>"
+
+
+def _meet(h, k):
+    return h.member_set & k.member_set
+
+
+def _join(h, k):
+    if not (h.is_normal() or k.is_normal()):
+        raise ValueError("product requires one normal factor")
+    return _closure(h.parent, k.gens, h.members, h.gens)[0]
+
+
+def _commutator(h, k):
+    g = h.parent
+    comms = [g.comm(a, b) for a in h.gens for b in k.gens]
+    return _normal_closure(g, h.gens + k.gens, comms)[0]
 
 
 def abelian_invariants_of_quotient(a, b):

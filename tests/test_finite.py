@@ -17,6 +17,7 @@ from oracles import (
     is_abelian,
     normal_subgroups_by_lattice,
 )
+from picolim import catalog, finite
 from picolim.abelian import AbelianInvariants
 from picolim.catalog import (
     all_catalog_names_of_order_at_most,
@@ -25,7 +26,7 @@ from picolim.catalog import (
     catalog_subgroup,
     groups_of_order_at_most,
 )
-from picolim.colimit import NormalTuple, pi_n_colimit
+from picolim.colimit import NormalTuple, pi_n_colimit, search_disconnected_triple
 from picolim.finite import (
     _MUL_TABLE_CAP,
     FinSubgroup,
@@ -455,6 +456,72 @@ def test_subgroup_operations_hand_out_one_object_per_member_set():
     # the public constructor still validates and builds a separate object
     built = FinSubgroup(g, g.subgroup([r]).members)
     assert built == g.subgroup([r]) and built is not g.subgroup([r])
+
+
+def _pair_answers(h, k):
+    """The members of h cap k, [h, k] and hk, with None for a refused hk."""
+    try:
+        join = h.product(k).members
+    except ValueError:
+        join = None
+    return h.intersect(k).members, h.commutator(k).members, join
+
+
+@pytest.mark.parametrize("name, lattice", [("S4", "all_subgroups"), ("D4xC2", "normal_subgroups")])
+def test_kept_pair_operations_answer_as_a_fresh_group(name, lattice):
+    # one group answers every ordered pair in both call orders, so the
+    # second order is a lookup of what the first kept; a freshly realised
+    # copy answers each pair alone, with nothing kept
+    warm = _fresh(name)
+    for h, k in product(getattr(warm, lattice)(), repeat=2):
+        cold = _fresh(name)
+        expected = _pair_answers(cold.subgroup(h.gens), cold.subgroup(k.gens))
+        assert _pair_answers(h, k) == expected, (name, h, k)
+        assert _pair_answers(k, h) == expected, (name, h, k)
+        assert h.commutator(k) == commutator_by_elements(h, k)
+        if expected[2] is None:
+            for _ in range(2):  # a refusal is not kept
+                with pytest.raises(ValueError, match="one normal factor"):
+                    h.product(k)
+        else:
+            assert h.product(k) is k.product(h)
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    original = finite._closure
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(finite, "_closure", counting)
+    return calls
+
+
+def test_pair_formula_closure_count(monkeypatch):
+    """Closures of the pair formula over every normal pair of
+    C2xC2xC2xC2, lattice excluded: 4,489 when every meet, join and
+    commutator was computed anew, 2,278 with each pair kept on its
+    operands."""
+    g = _fresh("C2xC2xC2xC2")
+    normals = g.normal_subgroups()
+    calls = _count_closures(monkeypatch)
+    for m, n in product(normals, repeat=2):
+        pi_n_colimit(NormalTuple(g, (m, n)))
+    assert len(calls) == 2278
+
+
+def test_triple_scan_closure_count(monkeypatch):
+    """Closures of the exhaustive triple scan to order 8 from cold groups,
+    realisation and lattices included: 6,932 when every meet, join and
+    commutator was computed anew, 567 with each pair kept on its
+    operands."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    calls = _count_closures(monkeypatch)
+    findings = search_disconnected_triple(8, stop_at_first=False)
+    assert len(findings) == 107
+    assert len(calls) == 567
 
 
 def _quotient_or_refusal(a, b):
